@@ -7,10 +7,10 @@ without losing aggregate throughput.
 
 import copy
 
+from repro.cluster.workload import poisson_workload
 from repro.engine.scheduler import (
     ContinuousBatchScheduler,
     StaticBatchScheduler,
-    poisson_workload,
 )
 from repro.hardware import get_device
 from repro.models import get_model

@@ -14,10 +14,10 @@ Run:  python examples/serving_comparison.py [requests_per_second]
 import copy
 import sys
 
+from repro.cluster.workload import poisson_workload
 from repro.engine.scheduler import (
     ContinuousBatchScheduler,
     StaticBatchScheduler,
-    poisson_workload,
 )
 from repro.hardware import get_device
 from repro.models import get_model

@@ -1,11 +1,13 @@
 """One serving node: a device, its engine loop, queue and energy meter.
 
 A :class:`ClusterNode` wraps an :class:`~repro.hardware.device.EdgeDevice`
-with a continuous-batching serving loop (iteration-level scheduling, the
-same discipline as
-:class:`~repro.engine.scheduler.ContinuousBatchScheduler`) running as a
-process on a *shared* simulation environment, so many nodes coexist on
-one clock.  Each node owns:
+with a continuous-batching serving loop (iteration-level scheduling)
+running as a process on a *shared* simulation environment, so many nodes
+coexist on one clock.  This loop is the repo's one continuous-batching
+core: the single-device
+:class:`~repro.engine.scheduler.ContinuousBatchScheduler` drives a
+single node on a private clock rather than keeping a loop of its own.
+Each node owns:
 
 - an admission queue with a depth cap (back-pressure) and a KV-budget
   check (requests whose full KV footprint can never fit are refused
@@ -78,10 +80,6 @@ def natural_kv_budget(device: EdgeDevice, backend,
         - backend.weight_bytes(arch, precision)
         - _WORKSPACE_BYTES
     )
-
-
-def _util_of(cost: StepCost) -> ComponentUtilization:
-    return ComponentUtilization.from_step_cost(cost)
 
 
 @dataclass
@@ -656,7 +654,8 @@ class ClusterNode:
         bs = max(1, min(batch_size, self.max_batch))
         concat = self.backend.decode_concat_bytes(self.kv_bytes(bs * context))
         cost = self.timer.decode_step(bs, context, concat_bytes=concat)
-        watts = self.power_model.power_w(self.device, _util_of(cost))
+        watts = self.power_model.power_w(
+            self.device, ComponentUtilization.from_step_cost(cost))
         return watts * cost.seconds / bs
 
     def _account(self, cost: StepCost, phase: str) -> tuple:
@@ -667,7 +666,7 @@ class ClusterNode:
         stretched wall time (interference keeps the board powered, it
         does not pause it).
         """
-        util = _util_of(cost)
+        util = ComponentUtilization.from_step_cost(cost)
         self.state.set(phase, util)
         seconds = cost.seconds * self.slowdown
         watts = self.power_model.power_w(self.device, util)

@@ -5,8 +5,7 @@ arrivals; real edge deployments see anything but.  This module is the
 single workload API both the single-device schedulers and the cluster
 layer draw from:
 
-- :func:`poisson_workload` — the original memoryless stream (moved here
-  from ``repro.engine.scheduler``, which re-exports it).
+- :func:`poisson_workload` — the original memoryless stream.
 - :func:`bursty_workload` — a two-state Markov-modulated Poisson
   process (MMPP-2): calm and burst phases with exponential sojourns,
   the standard parsimonious model of flash-crowd traffic.
@@ -381,5 +380,6 @@ def as_cluster_requests(requests: Sequence[ServeRequest]) -> List[ClusterRequest
         else:
             out.append(ClusterRequest(req_id=r.req_id, arrival_s=r.arrival_s,
                                       input_tokens=r.input_tokens,
-                                      output_tokens=r.output_tokens))
+                                      output_tokens=r.output_tokens,
+                                      prompt_ids=r.prompt_ids))
     return out

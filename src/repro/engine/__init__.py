@@ -24,7 +24,6 @@ from repro.engine.scheduler import (
     ServeRequest,
     ServingReport,
     StaticBatchScheduler,
-    poisson_workload,
 )
 from repro.engine.splitwise import SplitServingResult, simulate_phase_split
 from repro.engine.sustained import SustainedSample, run_sustained
@@ -35,7 +34,6 @@ __all__ = [
     "ServingReport",
     "SplitServingResult",
     "StaticBatchScheduler",
-    "poisson_workload",
     "simulate_phase_split",
     "BatchRequest",
     "BatchResult",

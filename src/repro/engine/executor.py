@@ -28,15 +28,6 @@ from repro.sim.environment import Environment
 from repro.sim.tracing import Trace
 
 
-def _util_of(cost) -> ComponentUtilization:
-    return ComponentUtilization(
-        gpu_compute=cost.gpu_compute_frac,
-        gpu_busy=cost.gpu_busy_frac,
-        mem_bw=cost.mem_bw_frac,
-        cpu_cores_active=cost.cpu_cores_active,
-    )
-
-
 class BatchExecutor:
     """Runs one :class:`BatchRequest` on the simulation.
 
@@ -172,7 +163,7 @@ class BatchExecutor:
                     self._eager_bytes(bs, gen.input_tokens), tag="eager-scores"
                 )
             cost = self.timer.prefill(bs, gen.input_tokens)
-            state.set("prefill", _util_of(cost))
+            state.set("prefill", ComponentUtilization.from_step_cost(cost))
             prefill_start = env.now
             yield env.timeout(cost.seconds)
             result.prefill_s = cost.seconds
@@ -230,7 +221,8 @@ class BatchExecutor:
                         if t >= horizon:
                             break
                     if cost is not None:
-                        state.set("decode", _util_of(cost))
+                        state.set("decode",
+                                  ComponentUtilization.from_step_cost(cost))
                         yield env.timeout_at(t)
                         if obs.enabled:
                             # One span per fast-forward stretch: same
@@ -260,7 +252,8 @@ class BatchExecutor:
                             self._eager_bytes(bs, kv.seq_len), tag="eager-scores"
                         )
                     cost = self.timer.decode_step(bs, context, concat_bytes=concat)
-                    state.set("decode", _util_of(cost))
+                    state.set("decode",
+                              ComponentUtilization.from_step_cost(cost))
                     step_start = env.now
                     yield env.timeout(cost.seconds)
                     result.step_seconds.append(cost.seconds)
@@ -343,7 +336,7 @@ class BatchExecutor:
 
             # ---- prefill ----
             cost = self.timer.prefill(bs, gen.input_tokens)
-            state.set("prefill", _util_of(cost))
+            state.set("prefill", ComponentUtilization.from_step_cost(cost))
             prefill_start = env.now
             yield env.timeout(cost.seconds)
             result.prefill_s = cost.seconds

@@ -20,7 +20,6 @@ median of the 2-second samples and energy the trapezoidal integral.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -114,7 +113,6 @@ class ServingEngine:
         arch: TransformerArchitecture,
         precision: Precision,
         params: Optional[EngineCostParams] = None,
-        kv_mode: Optional[str] = None,
         power_model: Optional[PowerModel] = None,
         sample_period_s: float = 2.0,
         fast_forward: bool = True,
@@ -127,26 +125,12 @@ class ServingEngine:
         from repro.backends.base import resolve_backend
         from repro.calibration.constants import CALIBRATED_COST_PARAMS
 
-        if kv_mode is not None:
-            warnings.warn(
-                "ServingEngine(kv_mode=...) is deprecated; the KV policy "
-                "is a runtime-backend concern — pass "
-                "backend=get_backend('hf-transformers', kv_mode=...) "
-                "instead",
-                DeprecationWarning, stacklevel=2)
-            if backend is not None:
-                raise ExperimentError(
-                    "pass either backend= or the deprecated kv_mode= "
-                    "keyword, not both")
-            from repro.backends.registry import get_backend
-
-            backend = get_backend("hf-transformers", kv_mode=kv_mode)
         self.backend = resolve_backend(backend)
         self.device = device
         self.arch = arch
         self.precision = precision
         self.params = params or CALIBRATED_COST_PARAMS
-        #: Back-compat view; only meaningful for the hf backend.
+        #: The hf backend's KV growth mode (None on other runtimes).
         self.kv_mode = getattr(self.backend, "kv_mode", None)
         self.power_model = power_model or PowerModel()
         self.sample_period_s = sample_period_s

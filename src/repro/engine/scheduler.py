@@ -13,12 +13,18 @@ model, with Poisson request arrivals on the DES:
   and queued requests are admitted (paying their prefill) while the KV
   budget allows, so the GPU never idles on a draining batch.
 
+There is one continuous-batching core in the repo, the serving loop of
+:class:`~repro.cluster.node.ClusterNode`; the continuous scheduler
+drives a single node on a private clock rather than keeping a loop of
+its own.
+
 Both report per-request metrics: time-to-first-token, time-per-output-
 token, end-to-end latency, plus aggregate percentiles and goodput.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -94,16 +100,6 @@ class ServeRequest:
         return (self.finish_s - self.first_token_s) / (self.output_tokens - 1)
 
 
-def __getattr__(name: str):
-    # poisson_workload moved to repro.cluster.workload (the shared
-    # workload API); re-exported lazily to avoid an import cycle.
-    if name == "poisson_workload":
-        from repro.cluster.workload import poisson_workload
-
-        return poisson_workload
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass
 class ServingReport:
     """Aggregate outcome of one serving simulation."""
@@ -154,6 +150,12 @@ def _report(discipline: str, requests: List[ServeRequest],
     )
 
 
+#: Per-request outcome fields :class:`ContinuousBatchScheduler` copies
+#: back from the node's requests onto the caller's.
+_SERVED_FIELDS = ("first_token_s", "finish_s", "generated", "lost_tokens",
+                  "replays", "last_token_s", "prefix_cached_tokens")
+
+
 class _SchedulerBase:
     def __init__(
         self,
@@ -170,7 +172,7 @@ class _SchedulerBase:
         self.arch = arch
         self.precision = precision
         self.max_batch = max_batch
-        self.timer = StepTimer(arch, device, precision, params)
+        self.params = params
         if kv_budget_bytes is None:
             kv_budget_bytes = int(
                 device.memory.usable_bytes
@@ -180,11 +182,6 @@ class _SchedulerBase:
         if kv_budget_bytes <= 0:
             raise ExperimentError("model leaves no KV budget on this device")
         self.kv_budget = kv_budget_bytes
-        self._kv_per_token = arch.kv_cache_spec().bytes_per_token_per_layer \
-            * arch.n_layers
-
-    def kv_bytes(self, tokens: int) -> int:
-        return tokens * self._kv_per_token
 
 
 class StaticBatchScheduler(_SchedulerBase):
@@ -195,6 +192,14 @@ class StaticBatchScheduler(_SchedulerBase):
         if max_wait_s < 0:
             raise ExperimentError("max_wait_s must be >= 0")
         self.max_wait_s = max_wait_s
+        self.timer = StepTimer(self.arch, self.device, self.precision,
+                               self.params)
+        self._kv_per_token = (
+            self.arch.kv_cache_spec().bytes_per_token_per_layer
+            * self.arch.n_layers)
+
+    def kv_bytes(self, tokens: int) -> int:
+        return tokens * self._kv_per_token
 
     def serve(self, requests: List[ServeRequest]) -> ServingReport:
         """Run the arrival stream to completion; returns the report."""
@@ -250,256 +255,94 @@ class StaticBatchScheduler(_SchedulerBase):
 
 
 class ContinuousBatchScheduler(_SchedulerBase):
-    """Iteration-level scheduling (Orca/vLLM style).
+    """Iteration-level scheduling (Orca/vLLM style) on a single node.
 
-    With ``paged=True`` admission control runs through the
-    :class:`~repro.memsys.paged.PagedKVCache` block manager instead of
-    whole-sequence byte reservations: sequences only hold blocks for the
-    tokens they have actually produced, so more requests fit the same
-    budget (at bounded per-sequence slack).
+    The repo has one continuous-batching core,
+    :class:`~repro.cluster.node.ClusterNode`'s serving loop; this class
+    drives one such node on a private clock.  ``paged=True`` serves with
+    the ``paged`` runtime (admission by free blocks, preemption when the
+    pool runs dry, radix prefix sharing for requests carrying
+    ``prompt_ids``) instead of ``hf-transformers`` (whole-lifetime KV
+    reservations).
 
     ``kv_policy`` selects what happens to preempted sequences (see
     :mod:`repro.kvtier.policy`): the default ``sacrifice`` drops the
     victim's KV and re-prefills later; ``swap`` preserves it on the
     host side and pays a bandwidth-modelled transfer each way.
-
-    ``prefix_cache=True`` (paged only) shares block-aligned KV between
-    co-resident sequences whose ``prompt_ids`` start identically, via a
-    radix tree over token IDs — the shared-system-prompt scenario.
+    ``fair_scheduler`` is the queue discipline over waiting arrivals
+    (:mod:`repro.fairness`; default FCFS).
     """
 
-    def __init__(self, *args, paged: bool = False, block_tokens: int = 16,
-                 kv_policy=None, prefix_cache: bool = False,
+    def __init__(self, *args, paged: bool = False, kv_policy=None,
                  fair_scheduler=None, **kwargs):
         from repro.kvtier.policy import get_kv_policy
 
         super().__init__(*args, **kwargs)
         self.paged = paged
-        self.block_tokens = block_tokens
         self.kv_policy = get_kv_policy(kv_policy)
-        #: Queue discipline over waiting arrivals (``repro.fairness``);
-        #: the default FCFS is bit-identical to the historical
-        #: pop-the-head admission order.
         self.fair_scheduler = fair_scheduler
-        if prefix_cache and not paged:
-            raise ExperimentError(
-                "prefix_cache requires the paged block manager")
-        self.prefix_cache = prefix_cache
         #: Populated by :meth:`serve` when the policy preserves KV.
         self.swap_stats = None
-        #: Populated by :meth:`serve` when prefix caching is on.
+        #: Populated by :meth:`serve` on the paged runtime.
         self.prefix_stats = None
 
     def serve(self, requests: List[ServeRequest]) -> ServingReport:
-        from repro.fairness.scheduler import get_fair_scheduler
-        from repro.kvtier.radix import RadixPrefixCache
-        from repro.kvtier.swap import HostSwapSpace, swap_bandwidth_bytes_s
-        from repro.memsys.allocator import CachingAllocator
-        from repro.memsys.paged import PagedKVCache
+        """Serve the arrival stream on one node; returns the report.
 
-        fair = get_fair_scheduler(self.fair_scheduler)
+        Raises :class:`OutOfMemoryError` when a request can never run:
+        the node refuses it at submit, or its whole-lifetime KV outgrows
+        the paged pool mid-decode.
+        """
+        from repro.cluster.node import ClusterNode
+        from repro.cluster.workload import as_cluster_requests
+
         env = Environment()
-        pending = sorted(requests, key=lambda x: x.arrival_s)
-        arrived: List[ServeRequest] = []
-        active: List[ServeRequest] = []
-        next_idx = 0
+        node = ClusterNode(
+            # The node owns (and may thermally throttle) its device.
+            env, 0, copy.deepcopy(self.device), self.arch, self.precision,
+            max_batch=self.max_batch, max_queue=len(requests),
+            params=self.params, kv_budget_bytes=self.kv_budget,
+            backend="paged" if self.paged else "hf-transformers",
+            kv_policy=self.kv_policy, scheduler=self.fair_scheduler,
+        )
+        reqs = as_cluster_requests(requests)
+        done = env.event()
+        hopeless: List[ServeRequest] = []
 
-        paged_cache: Optional[PagedKVCache] = None
-        if self.paged:
-            # Headroom for segment rounding (the allocator's large-pool
-            # floor is 20 MiB).
-            pool_alloc = CachingAllocator(self.kv_budget + 32 * 2**20)
-            paged_cache = PagedKVCache(
-                self.arch.kv_cache_spec(), pool_alloc, self.kv_budget,
-                block_tokens=self.block_tokens,
+        def on_complete(r) -> None:
+            if len(node.completed) == len(reqs):
+                done.succeed(None)
+
+        def on_hopeless(rs) -> None:
+            # Rejected under permanent pool pressure: never completes.
+            hopeless.extend(rs)
+            if not done.triggered:
+                done.succeed(None)
+
+        node.on_complete = on_complete
+        node.on_crash = on_hopeless
+        # Advance the clock to each arrival and submit it there.
+        for r in sorted(reqs, key=lambda x: x.arrival_s):
+            env.run(until=r.arrival_s)
+            if not hopeless and not node.submit(r):
+                hopeless.append(r)
+            if hopeless:
+                break
+        else:
+            env.run(until=done)
+        if hopeless:
+            r = hopeless[0]
+            raise OutOfMemoryError(
+                requested_bytes=node.kv_bytes(r.input_tokens
+                                              + r.output_tokens),
+                available_bytes=node.kv_budget,
+                context=f"request {r.req_id} can never fit the KV budget",
             )
-
-        policy = self.kv_policy
-        host: Optional[HostSwapSpace] = None
-        if policy.preserves_kv:
-            host = HostSwapSpace(int(
-                policy.host_capacity_frac * self.device.memory.capacity_bytes))
-            self.swap_stats = host.stats
-        swap_bw = swap_bandwidth_bytes_s(self.device)
-
-        radix: Optional[RadixPrefixCache] = None
-        prompts: Dict[int, tuple] = {}
-        if self.prefix_cache:
-            radix = RadixPrefixCache(
-                self.block_tokens,
-                paged_cache.bytes_per_block,
-            )
-            self.prefix_stats = radix.stats
-
-        def kv_in_use() -> int:
-            return sum(
-                self.kv_bytes(r.input_tokens + r.generated) for r in active
-            )
-
-        def resident_tokens(r: ServeRequest) -> int:
-            """Tokens whose KV must be resident for ``r`` to decode —
-            prompt plus any preserved (swapped) progress."""
-            return r.input_tokens + r.generated
-
-        def can_admit(r: ServeRequest) -> bool:
-            if paged_cache is not None:
-                # Paged: a prompt that needs exactly the remaining
-                # blocks fits — decode growth preempts later if needed.
-                needed = paged_cache.blocks_needed(resident_tokens(r))
-                limit = int(paged_cache.stats.total_blocks * policy.trigger)
-                return (needed <= paged_cache.free_blocks
-                        and paged_cache.stats.used_blocks + needed <= limit)
-            # Contiguous: reserve the whole final sequence up front.
-            return kv_in_use() + self.kv_bytes(
-                r.input_tokens + r.output_tokens
-            ) <= policy.effective_budget(self.kv_budget)
-
-        def shared_prefix_blocks(r: ServeRequest):
-            """Radix lookup: physical blocks covering ``r``'s prompt
-            head, donated by a co-resident sequence (or none)."""
-            if radix is None or r.prompt_ids is None:
-                return [], 0
-            hit = radix.insert(r.req_id, r.prompt_ids, env.now)
-            prompts[r.req_id] = tuple(r.prompt_ids)
-            if not hit:
-                return [], 0
-            # Any live sequence pinning that path holds the blocks.
-            for other in active:
-                ids = prompts.get(other.req_id)
-                if ids and ids[:hit] == tuple(r.prompt_ids)[:hit]:
-                    n = hit // self.block_tokens
-                    return paged_cache.prefix_blocks(other.req_id, n), hit
-            return [], 0
-
-        def drop_radix(req_id: int) -> None:
-            if radix is not None and radix.holds(req_id):
-                radix.release(req_id)
-                # Engine-level blocks die with their sequences, so the
-                # tree only keeps live-backed (pinned) paths.
-                radix.reclaim(float("inf"), env.now)
-            prompts.pop(req_id, None)
-
-        #: Preempted requests wait here until a sequence finishes —
-        #: re-admitting them immediately would steal the very blocks the
-        #: running sequences need to grow (admission/preemption thrash).
-        parked: List[ServeRequest] = []
-
-        def server():
-            nonlocal next_idx
-            finished = 0
-            while finished < len(pending):
-                # Pull arrivals up to the current time.
-                while next_idx < len(pending) and pending[next_idx].arrival_s <= env.now:
-                    arrived.append(pending[next_idx])
-                    fair.on_arrival(pending[next_idx], env.now)
-                    next_idx += 1
-                # Admit while capacity allows; newly admitted pay
-                # prefill (minus any shared prefix), swapped returnees
-                # pay their swap-in transfer instead.  The fair
-                # scheduler picks who goes next (FCFS: the head).
-                admitted = []
-                while arrived and len(active) < self.max_batch:
-                    pick = fair.select_next(arrived)
-                    if not can_admit(arrived[pick]):
-                        break
-                    r = arrived.pop(pick)
-                    fair.on_dequeue(r)
-                    active.append(r)
-                    admitted.append(r)
-                    if paged_cache is not None:
-                        shared, hit = ([], 0)
-                        if not (host is not None and host.holds(r.req_id)):
-                            shared, hit = shared_prefix_blocks(r)
-                        r.prefix_cached_tokens = hit
-                        paged_cache.add_sequence(
-                            r.req_id, resident_tokens(r),
-                            shared_blocks=shared)
-                for r in admitted:
-                    if host is not None and host.holds(r.req_id):
-                        _, seconds = host.swap_in(r.req_id, swap_bw)
-                        yield env.timeout(seconds)
-                    else:
-                        charged = max(1, r.input_tokens
-                                      - r.prefix_cached_tokens)
-                        yield env.timeout(self.timer.prefill(
-                            1, charged).seconds)
-                        fair.on_tokens_served(r, prefill_tokens=charged)
-
-                if not active:
-                    # Idle: jump to the next arrival.
-                    if next_idx < len(pending):
-                        yield env.timeout(
-                            max(0.0, pending[next_idx].arrival_s - env.now)
-                        )
-                        continue
-                    break
-
-                bs = len(active)
-                context = max(r.input_tokens + r.generated for r in active)
-                concat = 2 * self.kv_bytes(bs * context)
-                cost = self.timer.decode_step(bs, context, concat_bytes=concat)
-                yield env.timeout(cost.seconds)
-
-                pending_transfer_s = [0.0]
-
-                def preempt_one(keep: ServeRequest) -> bool:
-                    """Policy-driven preemption: the policy picks the
-                    victim; ``swap`` preserves its KV on the host (a
-                    bandwidth-billed transfer), ``sacrifice`` drops it
-                    for a later full re-prefill.  The victim parks until
-                    a sequence finishes."""
-                    victim = policy.select_victim(active, keep=keep)
-                    if victim is None:
-                        return False
-                    paged_cache.release_sequence(victim.req_id)
-                    drop_radix(victim.req_id)
-                    active.remove(victim)
-                    nbytes = self.kv_bytes(resident_tokens(victim))
-                    if host is not None and host.can_hold(nbytes):
-                        pending_transfer_s[0] += host.swap_out(
-                            victim.req_id, nbytes, swap_bw)
-                    else:
-                        if host is not None:
-                            host.stats.sacrifices += 1
-                        victim.reset_for_replay()
-                    parked.append(victim)
-                    return True
-
-                for r in list(active):
-                    if r not in active:
-                        continue  # preempted within this iteration
-                    r.generated += 1
-                    r.last_token_s = env.now
-                    fair.on_tokens_served(r, decode_tokens=1)
-                    if paged_cache is not None:
-                        while True:
-                            try:
-                                paged_cache.append_token(r.req_id)
-                                break
-                            except OutOfMemoryError:
-                                if not preempt_one(r):
-                                    raise
-                    if r.generated == 1 and r.first_token_s is None:
-                        r.first_token_s = env.now
-                    if r.generated >= r.output_tokens:
-                        r.finish_s = env.now
-                        active.remove(r)
-                        finished += 1
-                        if paged_cache is not None:
-                            paged_cache.release_sequence(r.req_id)
-                            drop_radix(r.req_id)
-                        if parked:
-                            # Freed capacity: let preempted work retry,
-                            # ahead of fresh arrivals.
-                            arrived[0:0] = parked
-                            for p in parked:
-                                fair.on_arrival(p, env.now)
-                            parked.clear()
-                if pending_transfer_s[0]:
-                    # The bus time spent writing victims' KV host-side.
-                    yield env.timeout(pending_transfer_s[0])
-
-        done = env.process(server(), name="continuous-server")
-        env.run(until=done)
+        for caller, served in zip(requests, reqs):
+            for name in _SERVED_FIELDS:
+                setattr(caller, name, getattr(served, name))
+        self.swap_stats = node.swap.stats if node.swap is not None else None
+        self.prefix_stats = (node.radix.stats if node.radix is not None
+                             else None)
         return _report("continuous-paged" if self.paged else "continuous",
                        requests, env.now)

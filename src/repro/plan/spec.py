@@ -12,10 +12,9 @@ from the same calibrated :class:`~repro.engine.kernels.StepTimer`
 costs the DES replays, so ``repro plan --validate`` can hold it to a
 measured error budget.
 
-The engine-probing feasibility searches that used to live in
-``repro.core.planner`` are methods here (:meth:`PlanSpec.feasibility`,
-:meth:`PlanSpec.max_batch_size`, :meth:`PlanSpec.max_seq_len`); the
-old function signatures survive as ``DeprecationWarning`` shims.
+The engine-probing feasibility searches are methods here
+(:meth:`PlanSpec.feasibility`, :meth:`PlanSpec.max_batch_size`,
+:meth:`PlanSpec.max_seq_len`).
 """
 
 from __future__ import annotations

@@ -18,13 +18,6 @@ from repro.errors import ExperimentError, WorkloadError
 
 
 class TestPoissonCompat:
-    def test_reexported_from_engine_scheduler(self):
-        from repro.engine import scheduler
-
-        assert scheduler.poisson_workload is poisson_workload
-        with pytest.raises(AttributeError):
-            scheduler.no_such_symbol
-
     def test_original_behaviour_preserved(self):
         reqs = poisson_workload(2.0, 10, seed=4)
         assert len(reqs) == 10
@@ -129,3 +122,20 @@ class TestUpgrade:
         # Already-upgraded requests pass through untouched.
         again = as_cluster_requests(up)
         assert again[0] is up[0]
+
+    def test_prompt_ids_survive_the_upgrade(self):
+        """Plain requests carrying prompt token ids keep radix prefix
+        sharing on a paged fleet."""
+        from repro.cluster import EdgeCluster, FleetSpec, NodeSpec
+
+        prefix = tuple(range(64))
+        plain = [ServeRequest(req_id=i, arrival_s=0.2 * i,
+                              input_tokens=80, output_tokens=16,
+                              prompt_ids=prefix + tuple(
+                                  1000 + 16 * i + j for j in range(16)))
+                 for i in range(6)]
+        assert as_cluster_requests(plain)[0].prompt_ids == plain[0].prompt_ids
+        report = EdgeCluster.of(FleetSpec.of(
+            [NodeSpec("jetson-orin-agx-64gb", runtime="paged")],
+            model="llama", precision="fp16")).run(plain)
+        assert report.prefix_hit_tokens > 0

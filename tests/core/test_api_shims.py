@@ -1,10 +1,9 @@
-"""The spec-first API redesign's backwards-compatibility shims.
+"""The spec-first API surface, and the ``Trace`` view over ``Observer``.
 
-Legacy model-name sweep calls and ``run_full_study`` keyword calls must
-keep producing the same grids they always did — but under a
-``DeprecationWarning`` — while mixing the two styles is refused.  CI
-runs the suite with ``-W error::DeprecationWarning``, so every legacy
-call in here must be wrapped in ``pytest.warns``.
+The deprecated model-name sweep calls, ``run_full_study`` keywords and
+``repro.core.planner`` functions are gone; what remains here pins the
+spec-first entry points and the legacy ``Trace`` view the executor and
+runtime still use.
 """
 
 import pytest
@@ -13,13 +12,11 @@ from repro.core import ExperimentSpec, StudySpec, default_precision_for
 from repro.core.study import run_full_study
 from repro.core.sweeps import (
     DEFAULT_GEN,
-    batch_quant_power_sweep_specs,
     batch_size_sweep_specs,
     power_mode_sweep_specs,
     quantization_sweep_specs,
     seq_len_sweep_specs,
 )
-from repro.errors import ExperimentError
 from repro.obs import Observer
 from repro.quant.dtypes import Precision
 from repro.sim.tracing import Trace
@@ -39,35 +36,7 @@ class TestForModel:
 
 
 class TestLegacySweepCalls:
-    def test_model_name_warns_and_builds_same_grid(self):
-        modern = batch_size_sweep_specs(
-            ExperimentSpec.for_model("phi2", n_runs=1), batch_sizes=(1, 4))
-        with pytest.warns(DeprecationWarning, match="for_model"):
-            legacy = batch_size_sweep_specs("phi2", batch_sizes=(1, 4),
-                                            n_runs=1)
-        assert legacy == modern
-
-    def test_seq_len_legacy_defaults_to_longbench(self):
-        with pytest.warns(DeprecationWarning):
-            specs = seq_len_sweep_specs("llama", seq_lengths=(256,), n_runs=1)
-        assert specs[0].workload == "longbench"
-
-    def test_quantization_legacy_covers_order(self):
-        with pytest.warns(DeprecationWarning):
-            specs = quantization_sweep_specs("mistral", n_runs=1)
-        assert [s.precision for s in specs] == [
-            Precision.FP32, Precision.FP16, Precision.INT8, Precision.INT4]
-
-    def test_power_mode_legacy(self):
-        with pytest.warns(DeprecationWarning):
-            specs = power_mode_sweep_specs("phi2", modes=("MAXN",), n_runs=1)
-        assert specs[0].power_mode == "MAXN"
-
-    def test_batch_quant_power_legacy(self):
-        with pytest.warns(DeprecationWarning):
-            grid = batch_quant_power_sweep_specs("phi2", batch_sizes=(1,),
-                                                 n_runs=1)
-        assert set(grid) == {Precision.FP16, Precision.INT8, Precision.INT4}
+    """The model-name sweep form is gone: sweeps take a spec only."""
 
     @pytest.mark.parametrize("builder", [
         batch_size_sweep_specs, seq_len_sweep_specs,
@@ -75,7 +44,7 @@ class TestLegacySweepCalls:
     ])
     def test_spec_plus_legacy_kwargs_is_refused(self, builder):
         spec = ExperimentSpec.for_model("phi2", n_runs=1)
-        with pytest.raises(ExperimentError, match="ExperimentSpec"):
+        with pytest.raises(TypeError, match="n_runs"):
             builder(spec, n_runs=3)
 
     def test_spec_first_call_is_warning_free(self, recwarn):
@@ -86,19 +55,14 @@ class TestLegacySweepCalls:
 
 
 class TestRunFullStudyShim:
-    def test_legacy_keywords_warn(self):
-        # n_runs=0 makes StudySpec.of raise right after the warning, so
-        # the shim is exercised without running any experiment.
-        with pytest.warns(DeprecationWarning, match="StudySpec"):
-            with pytest.raises(ExperimentError):
-                run_full_study(n_runs=0)
+    """The keyword form is gone: ``run_full_study`` takes a StudySpec."""
 
     def test_unknown_keyword_is_a_typeerror(self):
         with pytest.raises(TypeError, match="model"):
             run_full_study(model="llama")
 
     def test_spec_plus_legacy_is_refused(self):
-        with pytest.raises(ExperimentError, match="not both"):
+        with pytest.raises(TypeError, match="n_runs"):
             run_full_study(StudySpec(), n_runs=1)
 
     def test_studyspec_of_normalises_models(self):
@@ -107,32 +71,7 @@ class TestRunFullStudyShim:
 
 
 class TestPlannerShims:
-    """``repro.core.planner`` is a deprecated alias of ``repro.plan``."""
-
-    def test_max_batch_size_warns_and_matches_probe(self):
-        from repro.core import planner
-        from repro.plan import probe_max_batch
-
-        with pytest.warns(DeprecationWarning, match="probe_max_batch"):
-            legacy = planner.max_batch_size("phi2", Precision.FP16,
-                                            upper=256)
-        assert legacy == probe_max_batch("phi2", Precision.FP16, upper=256)
-
-    def test_max_sequence_length_warns_and_matches_probe(self):
-        from repro.core import planner
-        from repro.plan import probe_max_seq_len
-
-        with pytest.warns(DeprecationWarning, match="probe_max_seq_len"):
-            legacy = planner.max_sequence_length("phi2", Precision.FP16,
-                                                 batch_size=8)
-        assert legacy == probe_max_seq_len("phi2", Precision.FP16,
-                                           batch_size=8)
-
-    def test_feasible_compat_reexport(self):
-        from repro.core.planner import _feasible
-        from repro.plan import engine_feasible
-
-        assert _feasible is engine_feasible
+    """``repro.core.planner`` is gone; ``repro.plan`` is the planner."""
 
     def test_probe_call_is_warning_free(self, recwarn):
         from repro.plan import probe_max_batch

@@ -104,5 +104,5 @@ class TestSweeps:
 
     def test_sweeps_reject_spec_plus_legacy_kwargs(self):
         spec = ExperimentSpec.for_model("phi2", n_runs=1)
-        with pytest.raises(ExperimentError):
+        with pytest.raises(TypeError, match="n_runs"):
             batch_size_sweep(spec, n_runs=2)

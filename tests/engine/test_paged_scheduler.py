@@ -4,11 +4,8 @@ import copy
 
 import pytest
 
-from repro.engine.scheduler import (
-    ContinuousBatchScheduler,
-    ServeRequest,
-    poisson_workload,
-)
+from repro.cluster.workload import poisson_workload
+from repro.engine.scheduler import ContinuousBatchScheduler, ServeRequest
 from repro.hardware import get_device
 from repro.models import get_model
 from repro.quant.dtypes import Precision

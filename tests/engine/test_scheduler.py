@@ -4,11 +4,11 @@ import copy
 
 import pytest
 
+from repro.cluster.workload import poisson_workload
 from repro.engine.scheduler import (
     ContinuousBatchScheduler,
     ServeRequest,
     StaticBatchScheduler,
-    poisson_workload,
 )
 from repro.errors import ExperimentError
 from repro.hardware import get_device

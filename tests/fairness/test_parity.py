@@ -11,9 +11,8 @@ admission body.
 import types
 
 from repro.cluster import EdgeCluster, FleetSpec, NodeSpec
-from repro.cluster.workload import multi_tenant_workload
+from repro.cluster.workload import multi_tenant_workload, poisson_workload
 from repro.engine.scheduler import ContinuousBatchScheduler
-from repro.engine.scheduler import poisson_workload as engine_poisson
 from repro.hardware import get_device
 from repro.models import get_model
 from repro.obs import Observer, chrome_trace_json
@@ -92,7 +91,7 @@ class TestEngineParity:
         def run(**kwargs):
             sched = ContinuousBatchScheduler(device, arch, Precision.FP16,
                                              max_batch=4, **kwargs)
-            return sched.serve(engine_poisson(4.0, 24, seed=3))
+            return sched.serve(poisson_workload(4.0, 24, seed=3))
 
         base = run()
         fcfs = run(fair_scheduler="fcfs")

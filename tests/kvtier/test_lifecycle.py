@@ -134,36 +134,32 @@ class TestPrefixSharing:
         assert hot.p50_ttft_s < cold.p50_ttft_s
         assert cold.prefix_hit_tokens == 0
 
-    def test_engine_prefix_cache_requires_paged(self):
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ExperimentError):
-            ContinuousBatchScheduler(
-                get_device(DEVICE), get_model("llama"), Precision.FP16,
-                paged=False, prefix_cache=True)
-
     def test_engine_level_sharing(self):
-        """The single-node scheduler shares blocks through the same
-        radix tree when prompts carry token ids."""
+        """The single-node scheduler shares blocks through the node's
+        radix tree whenever prompts carry token ids."""
         prefix = tuple(range(64))
 
-        def reqs():
+        def reqs(with_ids):
             return [ServeRequest(req_id=i, arrival_s=0.2 * i,
                                  input_tokens=80, output_tokens=32,
                                  prompt_ids=prefix + tuple(
-                                     1000 + 16 * i + j for j in range(16)))
+                                     1000 + 16 * i + j for j in range(16))
+                                 if with_ids else None)
                     for i in range(8)]
 
-        def run(prefix_cache):
+        def run(with_ids):
             s = ContinuousBatchScheduler(
                 get_device(DEVICE), get_model("llama"), Precision.FP16,
-                max_batch=8, paged=True, prefix_cache=prefix_cache)
-            report = s.serve(reqs())
+                max_batch=8, paged=True)
+            report = s.serve(reqs(with_ids))
             ttfts = [r.ttft_s for r in report.requests]
-            return s, sum(ttfts) / len(ttfts)
+            return s, report, sum(ttfts) / len(ttfts)
 
-        s_off, ttft_off = run(False)
-        s_on, ttft_on = run(True)
+        s_off, rep_off, ttft_off = run(False)
+        s_on, rep_on, ttft_on = run(True)
         assert s_on.prefix_stats.hit_tokens > 0
+        assert all(r.prefix_cached_tokens == 64
+                   for r in rep_on.requests[1:])
         assert ttft_on < ttft_off
-        assert s_off.prefix_stats is None
+        assert s_off.prefix_stats.hit_tokens == 0
+        assert all(r.prefix_cached_tokens == 0 for r in rep_off.requests)
