@@ -26,21 +26,63 @@ Each node owns:
 Nodes can serve both phases (default), or only prefill / only decode
 for the Splitwise-style disaggregated routing policy.
 
+Decode stretches.  Between two points where its batch could change, a
+node does not wake once per decode step: at the batch boundary it plans
+every step up to the next such point and yields one absolute timeout at
+the end of the last.  A stretch ends at the first step that completes a
+request; after the first step at whose end admission could fire (queued
+work and a free batch slot, unless FCFS admission provably stays shut);
+at the step whose tokens take paged KV over the budget; at a step whose
+thermal advance flips the throttle governor; and, with an observer
+attached, after every step (decode spans are recorded at step ends).
+Each planned step is costed, powered and thermally advanced exactly as
+a lone step would be, in the same float order, so every simulated
+number is bit-identical to stepping one event per token.
+
+Nothing outside the node sees a stretch.  Readers — the power sampler,
+``kv_pressure`` / ``kv_in_use`` and ``predicted_j_per_token`` for the
+routers, ``submit``, and any caller once ``Environment.run`` returns —
+first *settle* it: every step boundary that has happened by the current
+instant is applied (accounting, heat, tokens).
+Changers — ``submit`` when a batch slot is free, ``crash``,
+``set_kv_shrink``, ``apply_mode`` (autoscaler, brownouts),
+``set_precision``, ``set_slowdown`` and ``shift_ambient`` (fault
+injection) — settle and then *cut* the stretch at the step in progress,
+which finishes with the duration it started with.
+
+Tie rule: the boundary where step ``k - 1`` ends is ordered on the
+event heap as the per-step wake-up would be — at ``t[k]``, as if
+scheduled when the step started (``t[k - 1]``), with the sequence
+number the stretch claimed when it was planned.  An event at exactly a
+boundary runs before it if it was scheduled before that step started,
+and after it otherwise.  An event scheduled at exactly the start of a
+later planned step counts as scheduled after that step's wake-up; the
+per-step loop orders that double coincidence by an insertion number a
+stretch never claims.
+
 Fault surface (driven by :mod:`repro.faults`): :meth:`crash` /
 :meth:`restart` model a node death with KV-state loss, ``kv_shrink``
-models transient OOM pressure, ``slowdown`` models straggler
-interference, and :meth:`set_precision` is the graceful-degradation
-hook.  All of it is deterministic on the shared clock.
+models transient OOM pressure, :meth:`set_slowdown` models straggler
+interference, :meth:`shift_ambient` a heat wave, and
+:meth:`set_precision` is the graceful-degradation hook.  All of it is
+deterministic on the shared clock.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional
 
 from repro.backends.base import resolve_backend
 from repro.cluster.workload import ClusterRequest
-from repro.fairness.scheduler import get_fair_scheduler
+from repro.fairness.scheduler import (
+    FairScheduler,
+    FCFSScheduler,
+    get_fair_scheduler,
+)
 from repro.engine.kernels import EngineCostParams, StepCost
 from repro.engine.state import EngineState
 from repro.errors import ConfigError
@@ -94,6 +136,35 @@ class CrashEpisode:
         if self.up_s is None:
             return None
         return self.up_s - self.down_s
+
+
+class _Stretch:
+    """One planned run of decode steps over a fixed batch.
+
+    Step ``j`` runs over ``[t[j], t[j + 1])``; the lists hold its cost,
+    wall seconds, busy joules, and the junction temperature right after
+    its thermal advance.  ``flip`` is the step whose advance flips the
+    throttle governor (always the last planned one), or -1.  ``started``
+    steps have been accounted on the node and ``credited`` steps have
+    handed out their tokens; ``n`` shrinks when a change cuts the
+    stretch short.
+    """
+
+    __slots__ = ("batch", "bs", "seq", "t", "cost", "seconds", "joules",
+                 "temp", "flip", "n", "started", "credited", "wake")
+
+    def __init__(self, batch, t0, cost, seconds, joules):
+        self.batch = batch
+        self.bs = len(batch)
+        self.t = [t0, t0 + seconds]
+        self.cost = [cost]
+        self.seconds = [seconds]
+        self.joules = [joules]
+        # Step 0 is accounted by the loop itself (idle gap included).
+        self.temp = [None]
+        self.flip = -1
+        self.started = 1
+        self.credited = 0
 
 
 class ClusterNode:
@@ -221,6 +292,10 @@ class ClusterNode:
         #: default — a bit-identical extraction of the historical
         #: head-of-queue pop — or a fair policy (``vtc``, ``wsc``).
         self.scheduler = get_fair_scheduler(scheduler)
+        #: Whether decode tokens must be billed to the scheduler one by
+        #: one (FCFS inherits the no-op hook and skips the calls).
+        self._bills_decode = (type(self.scheduler).on_tokens_served
+                              is not FairScheduler.on_tokens_served)
         #: Per-tenant decode-token production meter (counts every token
         #: this node produced for the tenant, replays included).
         self.tenant_served_tokens: Dict[str, int] = {}
@@ -244,7 +319,8 @@ class ClusterNode:
         self.state = EngineState()
         self.sampler = PowerSampler(env, device, self.power_model, self.state,
                                     period_s=sample_period_s, obs=self.obs,
-                                    obs_track=self.obs_track)
+                                    obs_track=self.obs_track,
+                                    sync=self._settle_state)
         #: Exact step-accounted busy energy (J) and busy wall time (s).
         self.busy_energy_j = 0.0
         self.busy_seconds = 0.0
@@ -258,7 +334,8 @@ class ClusterNode:
         # -- fault/resilience state ----------------------------------------
         #: False while crashed; admission refuses and routers skip.
         self.healthy = True
-        #: Wall-time multiplier on engine steps (straggler interference).
+        #: Wall-time multiplier on engine steps (straggler interference;
+        #: change it through set_slowdown once serving).
         self.slowdown = 1.0
         #: Down intervals, for availability / MTTR accounting.
         self.crash_log: List[CrashEpisode] = []
@@ -273,6 +350,9 @@ class ClusterNode:
 
         self._wake = None
         self._restart_ev = None
+        #: The decode stretch in flight (None outside one).
+        self._stretch: Optional[_Stretch] = None
+        env.on_pause(self._settle)  # callers inspecting between runs
         self._proc = env.process(self._serve_loop(), name=f"node-{node_id}")
 
     # -- capacity ----------------------------------------------------------
@@ -296,13 +376,14 @@ class ClusterNode:
         return self.backend.request_kv_reservation(
             r.input_tokens, out, self._kv_per_token)
 
-    def _kv_live(self, r: ClusterRequest) -> int:
+    def _kv_live(self, r: ClusterRequest, ahead: int = 0) -> int:
         """KV bytes ``r`` holds privately right now (grows per token
-        under paged).  Prompt blocks living in the radix tree are
-        charged once through the tree, not per sharer."""
+        under paged), or ``ahead`` tokens from now.  Prompt blocks
+        living in the radix tree are charged once through the tree, not
+        per sharer."""
         out = 0 if self.role == "prefill" else r.output_tokens
         live = self.backend.live_kv_bytes(
-            r.input_tokens, r.generated, out, self._kv_per_token)
+            r.input_tokens, r.generated + ahead, out, self._kv_per_token)
         if self.radix is not None and self.radix.holds(r.req_id):
             bt = self.radix.block_tokens
             live -= self.kv_bytes((r.input_tokens // bt) * bt)
@@ -310,6 +391,8 @@ class ClusterNode:
 
     @property
     def kv_in_use(self) -> int:
+        if self._stretch is not None:
+            self._settle()
         total = sum(self._kv_live(r) for r in self.active)
         if self.radix is not None:
             # Tree-resident prompt blocks (shared and retained-after-
@@ -347,6 +430,10 @@ class ClusterNode:
         """Enqueue a request; returns False if admission refuses it."""
         if not self.accepts(r):
             return False
+        if self._stretch is not None:
+            self._settle()
+            if len(self.active) < self.max_batch:
+                self._cut()  # the arrival may be admitted next step
         r.node_id = self.node_id
         self.queue.append(r)
         self.scheduler.on_arrival(r, self.env.now)
@@ -371,6 +458,7 @@ class ClusterNode:
         clock, so a throttled node switching modes stays throttled
         relative to the *new* mode.
         """
+        self._cut()
         apply_power_mode(self.device, mode)
         self._base_gpu_hz = self.device.gpu.freq_hz
         self._apply_throttle()
@@ -424,6 +512,9 @@ class ClusterNode:
         """
         if not self.healthy:
             return []
+        # The step in progress stays accounted; later ones never run.
+        self._settle()
+        self._stretch = None
         self.healthy = False
         orphans = list(self.active) + list(self.queue)
         if self.obs.enabled:
@@ -484,6 +575,7 @@ class ClusterNode:
         """
         if factor <= 0:
             raise ConfigError("kv_shrink must be positive")
+        self._cut()
         grew = factor > self.kv_shrink
         self.kv_shrink = factor
         evicted = self._evict_over_budget(kv_shrink=factor)
@@ -623,6 +715,7 @@ class ClusterNode:
         """
         if precision is self.precision:
             return
+        self._cut()
         self.precision = precision
         self.timer = self.backend.make_timer(self.arch, self.device,
                                              precision, self._params)
@@ -636,6 +729,21 @@ class ClusterNode:
                 )
             self._kv_budget_base = base
         self._notify()
+
+    def set_slowdown(self, factor: float) -> None:
+        """Set the straggler wall-time multiplier on engine steps.
+
+        Steps already started keep the duration they started with; the
+        next step runs at ``factor``.
+        """
+        self._cut()
+        self.slowdown = factor
+
+    def shift_ambient(self, delta_c: float) -> None:
+        """Move the thermal model's ambient temperature by ``delta_c``
+        (heat waves, failed cooling) from the next step on."""
+        self._cut()
+        self.thermal.ambient_c += delta_c
 
     @property
     def downtime_s(self) -> float:
@@ -651,11 +759,11 @@ class ClusterNode:
                               context: int = 256) -> float:
         """Marginal decode energy per token at the *current* operating
         point — the signal the energy-aware router ranks nodes by."""
+        self._settle_state()
         bs = max(1, min(batch_size, self.max_batch))
         concat = self.backend.decode_concat_bytes(self.kv_bytes(bs * context))
         cost = self.timer.decode_step(bs, context, concat_bytes=concat)
-        watts = self.power_model.power_w(
-            self.device, ComponentUtilization.from_step_cost(cost))
+        watts = self.power_model.power_w(self.device, cost.util)
         return watts * cost.seconds / bs
 
     def _account(self, cost: StepCost, phase: str) -> tuple:
@@ -666,7 +774,7 @@ class ClusterNode:
         stretched wall time (interference keeps the board powered, it
         does not pause it).
         """
-        util = ComponentUtilization.from_step_cost(cost)
+        util = cost.util
         self.state.set(phase, util)
         seconds = cost.seconds * self.slowdown
         watts = self.power_model.power_w(self.device, util)
@@ -693,6 +801,208 @@ class ClusterNode:
         self.busy_seconds += seconds
         self._advance_thermal(watts, seconds)
         return joules, seconds
+
+    # -- decode stretches --------------------------------------------------
+    def _stretch_cap(self, bs: int) -> int:
+        """Steps the current batch is guaranteed to run unchanged.
+
+        A stretch ends at the first step that completes a request, after
+        the first step at whose end admission could fire, and at the
+        step whose tokens push paged KV over the budget (the loop then
+        preempts).  With an observer attached every step is its own
+        stretch: decode spans are recorded at step ends, interleaved
+        with every other record of the run.
+        """
+        if self.obs.enabled:
+            return 1
+        n = min(r.output_tokens - r.generated for r in self.active)
+        if n <= 1:
+            return 1
+        if self.queue and bs < self.max_batch and not self._head_blocked():
+            return 1
+        if self.backend.admits_by_free_blocks:
+            n = self._steps_until_kv_full(n)
+        return n
+
+    def _head_blocked(self) -> bool:
+        """True when admission provably stays shut for the whole batch:
+        FCFS keeps offering the same head, committed KV never shrinks
+        while the batch decodes, and there is no radix cache whose
+        reclaim could make room (or change state by trying)."""
+        if self.radix is not None or not isinstance(self.scheduler,
+                                                    FCFSScheduler):
+            return False
+        limit = self.kv_policy.effective_budget(self.kv_budget)
+        return self.kv_in_use + self._kv_need(self.queue[0]) > limit
+
+    def _steps_until_kv_full(self, n: int) -> int:
+        """Cap ``n`` at the first step whose tokens take live paged KV
+        over the budget (live KV only grows with ``generated``, so the
+        crossing is found by bisection)."""
+        resident = self.radix.resident_bytes if self.radix is not None else 0
+        budget = self.kv_budget
+
+        def over(m: int) -> bool:
+            return (sum(self._kv_live(r, m) for r in self.active)
+                    + resident) > budget
+
+        if not over(n - 1):
+            return n
+        lo, hi = 1, n - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if over(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def _plan_stretch(self, bs: int, context: int, cost: StepCost,
+                      joules: float, seconds: float) -> _Stretch:
+        """Plan the decode steps after the (already accounted) first one
+        and schedule one wake-up at the end of the last.
+
+        Each step is costed, powered and thermally advanced exactly as
+        :meth:`_account` would at its start — same operations, same
+        float order — but into the plan, not the node.  The stretch
+        also ends at a step that flips the throttle governor: the next
+        step runs at a different clock.
+        """
+        env = self.env
+        st = _Stretch(list(self.active), env.now, cost, seconds, joules)
+        cap = self._stretch_cap(bs)
+        if cap > 1:
+            backend, kv_per_token = self.backend, self._kv_per_token
+            costs = self.timer.decode_steps(bs, context + 1, [
+                backend.decode_concat_bytes(bs * ctx * kv_per_token)
+                for ctx in range(context + 1, context + cap)])
+            watts = self.power_model.powers_w(self.device,
+                                              [c.util for c in costs])
+            slowdown = self.slowdown
+            secs = [c.seconds * slowdown for c in costs]
+            th = self.thermal
+            ambient, r_th, tau = th.ambient_c, th.r_thermal_c_per_w, th.tau_s
+            hot, cool = th.throttle_temp_c, th.resume_temp_c
+            temp, throttled = th.temp_c, th.throttled
+            temps, exp = st.temp, math.exp
+            for w, sec in zip(watts, secs):
+                # ThermalModel.advance, inlined (no idle gap mid-stretch).
+                target = ambient + w * r_th
+                temp = target + (temp - target) * exp(-sec / tau)
+                temps.append(temp)
+                if (temp <= cool) if throttled else (temp >= hot):
+                    st.flip = len(temps) - 1
+                    break
+            m = len(temps) - 1
+            st.cost += costs[:m]
+            st.seconds += secs[:m]
+            st.joules += [w * sec for w, sec in zip(watts[:m], secs)]
+            # Same left-to-right sums as the per-step wake-up times.
+            st.t[1:] = accumulate(secs[:m], initial=st.t[1])
+        n = st.n = len(st.cost)
+        st.seq = env.next_seq()
+        st.wake = env.timeout_at(st.t[n], scheduled_at=st.t[n - 1],
+                                 seq=st.seq)
+        return st
+
+    def _settle(self, credit: bool = True) -> None:
+        """Bring the stretch in flight up to the current instant.
+
+        Virtual step boundary ``k`` is ordered on the event heap as the
+        per-step loop's wake-up would be: at ``t[k]``, as if scheduled
+        at ``t[k - 1]``, with the stretch's sequence number.  Every
+        boundary ordered before the event now running has happened.
+        ``credit=False`` applies the steps' accounting and heat but
+        leaves their tokens for a later settle.
+        """
+        st = self._stretch
+        if st is None:
+            return
+        k, n, t = st.started, st.n, st.t
+        if k < n:
+            env = self.env
+            cur = env.current_order()
+            if cur is None:
+                k = bisect_right(t, env.now, k, n)
+            else:
+                # Boundaries before now have happened; one exactly at
+                # now (times strictly increase) follows the tie rule.
+                k = bisect_left(t, env.now, k, n)
+                if k < n and (t[k], t[k - 1], st.seq) < cur:
+                    k += 1
+            if k > st.started:
+                self._start_steps(st, k)
+        if credit and st.credited < k - 1:
+            self._credit_steps(st, k - 1)
+
+    def _settle_state(self) -> None:
+        """Settle what power readers see — utilization, clocks, heat —
+        leaving the tokens for a later full settle."""
+        self._settle(credit=False)
+
+    def _start_steps(self, st: _Stretch, k: int) -> None:
+        """Account every planned step before ``k`` (its start has come)."""
+        t = st.t
+        joules, seconds = self.busy_energy_j, self.busy_seconds
+        for j in range(st.started, k):
+            joules += st.joules[j]
+            seconds += st.seconds[j]
+        self.busy_energy_j, self.busy_seconds = joules, seconds
+        last = k - 1
+        self.state.set("decode", st.cost[last].util)
+        th = self.thermal
+        th.temp_c = st.temp[last]
+        self._thermal_clock = t[k]
+        if last == st.flip:
+            th.throttled = not th.throttled
+            self.throttle_log.append((t[last], th.throttled))
+            self._apply_throttle()
+        st.started = k
+
+    def _credit_steps(self, st: _Stretch, hi: int) -> None:
+        """Hand out the tokens of every step before ``hi``.
+
+        Each such step gives every batch member one token; no request
+        completes before the stretch's last step, which the serving
+        loop credits itself.
+        """
+        lo, t = st.credited, st.t
+        m = hi - lo
+        shares = [st.joules[j] / st.bs for j in range(lo, hi)]
+        first_s, last_s = t[lo + 1], t[hi]
+        served = self.tenant_served_tokens
+        for r in st.batch:
+            r.generated += m
+            r.last_token_s = last_s
+            e = r.energy_j
+            for share in shares:
+                e += share
+            r.energy_j = e
+            if r.first_token_s is None:
+                r.first_token_s = first_s
+            served[r.tenant] = served.get(r.tenant, 0) + m
+        self.served_tokens += m * st.bs
+        if self._bills_decode:
+            bill = self.scheduler.on_tokens_served
+            for _ in range(m):
+                for r in st.batch:
+                    bill(r, decode_tokens=1)
+        st.credited = hi
+        self.last_busy_s = last_s
+
+    def _cut(self) -> None:
+        """Settle, then end the stretch with the step in progress — for
+        changes that would alter the steps after it."""
+        st = self._stretch
+        if st is None:
+            return
+        self._settle()
+        s = st.started
+        if s < st.n:
+            st.n = s
+            st.wake = self.env.timeout_at(st.t[s], scheduled_at=st.t[s - 1],
+                                          seq=st.seq)
+            self._proc.retarget(st.wake)
 
     # -- the serving loop --------------------------------------------------
     def _next_candidate(self) -> Optional[ClusterRequest]:
@@ -852,14 +1162,26 @@ class ClusterNode:
                     self.kv_bytes(bs * context))
                 cost = self.timer.decode_step(bs, context, concat_bytes=concat)
                 step_j, dur = self._account(cost, "decode")
-                step_start = env.now
-                yield env.timeout(dur)
+                st = self._plan_stretch(bs, context, cost, step_j, dur)
+                self._stretch = st
+                yield st.wake
+                # Woken at the end of the stretch's last step (or of the
+                # step a change cut it at): replay every earlier step,
+                # then credit the last one exactly as a lone step.
+                self._stretch = None
+                n = st.n
+                if st.started < n:
+                    self._start_steps(st, n)
+                if st.credited < n - 1:
+                    self._credit_steps(st, n - 1)
+                step_j = st.joules[n - 1]
+                step_start = st.t[n - 1]
                 self.last_busy_s = env.now
                 if self.obs.enabled:
                     self.obs.complete(
                         kinds.DECODE, step_start, env.now,
                         cat=kinds.CAT_CLUSTER, track=self.obs_track,
-                        batch=bs, context=context)
+                        batch=bs, context=context + n - 1)
                 # Requests evicted mid-step (OOM pressure) left `active`
                 # and get no token from this step.
                 step_tenants = set()

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import List, Sequence
 
 import numpy as np
 
@@ -109,6 +111,14 @@ class StepCost:
     mem_bw_frac: float
     #: Average busy CPU cores.
     cpu_cores_active: float
+
+    @cached_property
+    def util(self):
+        """The :class:`~repro.power.model.ComponentUtilization` this step
+        implies, built once per (memoized) cost."""
+        from repro.power.model import ComponentUtilization
+
+        return ComponentUtilization.from_step_cost(self)
 
 
 @dataclass(frozen=True)
@@ -304,6 +314,24 @@ class StepTimer:
                     concat_bytes: float = 0.0) -> StepCost:
         """Cost of one decode iteration at the given context length."""
         return self._memoized(False, batch_size, context_len, concat_bytes)
+
+    def decode_steps(self, batch_size: int, ctx_start: int,
+                     concat_bytes: Sequence[float]) -> List[StepCost]:
+        """:meth:`decode_step` for consecutive contexts ``ctx_start + j``
+        (with ``concat_bytes[j]``) at one operating point — the same
+        memoized :class:`StepCost` objects, looked up in one pass."""
+        memo, op = self._memo, self._operating_point()
+        out = []
+        ctx = ctx_start
+        for concat in concat_bytes:
+            cost = memo.get((False, batch_size, ctx, concat, op))
+            if cost is None:
+                cost = self.decode_step(batch_size, ctx, concat)
+            else:
+                self.memo_hits += 1
+            out.append(cost)
+            ctx += 1
+        return out
 
     def decode_run(self, batch_size: int, ctx_start: int, n_steps: int,
                    concat_coef: int = 0) -> DecodeRun:

@@ -14,7 +14,7 @@ much less power than FP16/INT4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List, Sequence
 
 from repro.errors import ConfigError
 from repro.hardware.device import EdgeDevice
@@ -126,6 +126,42 @@ class PowerModel:
             "mem": mem_w,
         }
 
+    def __post_init__(self) -> None:
+        #: Total watts per (operating point, utilization); see power_w.
+        self._memo: Dict[tuple, float] = {}
+
+    @staticmethod
+    def _operating_point(device: EdgeDevice) -> tuple:
+        """Everything :meth:`breakdown` reads from the device."""
+        cpu = device.cpu
+        return (device.gpu.freq_hz, cpu.freq_hz, device.memory.freq_hz,
+                cpu.online_cores, device.idle_power_w)
+
     def power_w(self, device: EdgeDevice, util: ComponentUtilization) -> float:
-        """Total instantaneous board power in watts."""
-        return sum(self.breakdown(device, util).values())
+        """Total instantaneous board power in watts.
+
+        Memoized per (GPU/CPU/memory clock, online cores, idle watts,
+        utilization) — everything :meth:`breakdown` reads — so every
+        caller (serving steps, samplers, KV transfers, routing
+        predictions) shares one cache and a changed operating point is
+        a miss, never a stale hit.  The coefficients are fixed once the
+        model is in use; derive a changed model with
+        :func:`dataclasses.replace` (a fresh, empty cache).
+        """
+        key = (self._operating_point(device), util.gpu_compute,
+               util.gpu_busy, util.mem_bw, util.cpu_cores_active)
+        watts = self._memo.get(key)
+        if watts is None:
+            watts = self._memo[key] = sum(self.breakdown(device, util).values())
+        return watts
+
+    def powers_w(self, device: EdgeDevice,
+                 utils: Sequence[ComponentUtilization]) -> List[float]:
+        """:meth:`power_w` for many utilizations at one operating point."""
+        op, memo = self._operating_point(device), self._memo
+        out = []
+        for u in utils:
+            watts = memo.get((op, u.gpu_compute, u.gpu_busy, u.mem_bw,
+                              u.cpu_cores_active))
+            out.append(self.power_w(device, u) if watts is None else watts)
+        return out

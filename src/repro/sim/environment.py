@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import AbsoluteTimeout, Event, Interrupt, Timeout
@@ -47,6 +47,18 @@ class Process(Event):
         ev = Event(self.env)
         ev.callbacks.append(self._resume_interrupt)
         ev.succeed(Interrupt(cause))
+
+    def retarget(self, event: Event) -> None:
+        """Wait on ``event`` instead of the event the process yielded.
+
+        For a process whose wake-up time moved earlier (a lazily
+        advanced loop cut short): the old event may still fire, and is
+        ignored like any stale wake-up.
+        """
+        if self.triggered:
+            raise SimulationError(f"cannot retarget finished process {self.name!r}")
+        self._target = event
+        event.callbacks.append(self._resume)
 
     # -- internal resumption ----------------------------------------------
     def _resume_interrupt(self, ev: Event) -> None:
@@ -109,12 +121,21 @@ class Environment:
     """Owns simulated time and executes events in timestamp order.
 
     Ties are broken by insertion order, making runs fully deterministic.
+    Every heap entry is keyed ``(time, scheduled_at, seq)``: for events
+    scheduled the ordinary way ``scheduled_at`` is the clock at insertion,
+    which grows with ``seq``, so it orders exactly like insertion order.
+    A lazily advanced process may instead schedule an event *as if* it
+    had been inserted at a later instant (see :meth:`schedule_at`), and
+    compare its virtual wake-ups against :meth:`current_order`.
     """
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Tuple[float, float, int, Event]] = []
         self._counter = count()
+        #: Heap entry being (or last) processed; None after run(until=t).
+        self._cur: Optional[Tuple[float, float, int, Event]] = None
+        self._pause_hooks: List[Callable[[], None]] = []
 
     @property
     def now(self) -> float:
@@ -130,9 +151,15 @@ class Environment:
         """Create an event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def timeout_at(self, when: float, value: Any = None) -> AbsoluteTimeout:
-        """Create an event firing at absolute sim time ``when`` (>= now)."""
-        return AbsoluteTimeout(self, when, value)
+    def timeout_at(self, when: float, value: Any = None,
+                   scheduled_at: Optional[float] = None,
+                   seq: Optional[int] = None) -> AbsoluteTimeout:
+        """Create an event firing at absolute sim time ``when`` (>= now).
+
+        ``scheduled_at`` / ``seq`` override its tie-break key (see
+        :meth:`schedule_at`).
+        """
+        return AbsoluteTimeout(self, when, value, scheduled_at, seq)
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a process from a generator; returns its completion event."""
@@ -143,7 +170,9 @@ class Environment:
         """Put a triggered event on the heap ``delay`` seconds from now."""
         self.schedule_at(event, self._now + delay)
 
-    def schedule_at(self, event: Event, when: float) -> None:
+    def schedule_at(self, event: Event, when: float,
+                    scheduled_at: Optional[float] = None,
+                    seq: Optional[int] = None) -> None:
         """Put a triggered event on the heap at absolute time ``when``.
 
         All scheduling funnels through here so every event gets its
@@ -151,23 +180,50 @@ class Environment:
         with equal timestamps always fire in the order they were
         scheduled, whether they came from relative timeouts, absolute
         timeouts, or immediate (zero-delay) events.
+
+        ``scheduled_at`` (default: now) and ``seq`` (default: a fresh
+        :meth:`next_seq`) let a process that skipped its intermediate
+        wake-ups order this one among same-time events as if it had
+        been scheduled at that later instant, with a sequence number
+        it claimed earlier.
         """
         if event._scheduled:
             raise SimulationError("event scheduled twice")
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         event._scheduled = True
-        heapq.heappush(self._heap, (when, next(self._counter), event))
+        heapq.heappush(self._heap, (
+            when, self._now if scheduled_at is None else scheduled_at,
+            next(self._counter) if seq is None else seq, event))
+
+    def next_seq(self) -> int:
+        """Claim the tie-break sequence number the next event would get."""
+        return next(self._counter)
+
+    def on_pause(self, hook: Callable[[], None]) -> None:
+        """Call ``hook`` whenever :meth:`run` returns, so a lazily
+        advanced process can bring its observable state up to the
+        instant the caller inspects."""
+        self._pause_hooks.append(hook)
+
+    def current_order(self) -> Optional[Tuple[float, float, int, Event]]:
+        """Heap key ``(time, scheduled_at, seq, event)`` of the event
+        whose callbacks are running (or ran last); None once
+        ``run(until=<time>)`` returned, when every event at or before
+        ``now`` has been processed."""
+        return self._cur
 
     def step(self) -> None:
         """Process the single next event."""
         if not self._heap:
             raise SimulationError("step() on empty event heap")
-        when, _, event = heapq.heappop(self._heap)
+        item = heapq.heappop(self._heap)
+        when = item[0]
         if when < self._now:
             raise SimulationError("event scheduled in the past")
         self._now = when
-        event._run_callbacks()
+        self._cur = item
+        item[3]._run_callbacks()
 
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if none remain."""
@@ -187,6 +243,8 @@ class Environment:
                         "simulation ran out of events before target event fired"
                     )
                 self.step()
+            for hook in self._pause_hooks:
+                hook()
             if target.ok:
                 return target.value
             raise target.value
@@ -195,4 +253,7 @@ class Environment:
             self.step()
         if limit != float("inf"):
             self._now = max(self._now, limit)
+        self._cur = None
+        for hook in self._pause_hooks:
+            hook()
         return None

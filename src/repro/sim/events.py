@@ -134,7 +134,9 @@ class AbsoluteTimeout(Event):
 
     __slots__ = ("at", "_fire_value")
 
-    def __init__(self, env: "Environment", when: float, value: Any = None):
+    def __init__(self, env: "Environment", when: float, value: Any = None,
+                 scheduled_at: Optional[float] = None,
+                 seq: Optional[int] = None):
         when = float(when)
         if when < env.now:
             raise SimulationError(
@@ -143,7 +145,7 @@ class AbsoluteTimeout(Event):
         super().__init__(env)
         self.at = when
         self._fire_value = value
-        env.schedule_at(self, when)
+        env.schedule_at(self, when, scheduled_at, seq)
 
     def _run_callbacks(self) -> None:
         if self._value is PENDING:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List, Optional
 
 from repro.engine.state import EngineState
 from repro.errors import ConfigError
@@ -32,6 +32,10 @@ class PowerSampler:
     published as a :data:`~repro.obs.kinds.POWER_W` counter series on
     ``obs_track`` (one Perfetto counter lane per sampled board) and
     folded into the ``power_w`` histogram of the metrics registry.
+
+    ``sync`` is called before every reading, so an engine that advances
+    its state lazily (a serving node fast-forwarding decode steps) can
+    bring ``state`` and the device clocks up to the sampling instant.
     """
 
     def __init__(
@@ -43,6 +47,7 @@ class PowerSampler:
         period_s: float = 2.0,
         obs: Observer = NULL_OBSERVER,
         obs_track: str = "power",
+        sync: Optional[Callable[[], None]] = None,
     ):
         if period_s <= 0:
             raise ConfigError("sampling period must be positive")
@@ -53,6 +58,7 @@ class PowerSampler:
         self.period_s = period_s
         self.obs = obs
         self.obs_track = obs_track
+        self.sync = sync
         self.samples: List[PowerSample] = []
         self._running = False
 
@@ -68,6 +74,8 @@ class PowerSampler:
         self._running = False
 
     def _take_sample(self) -> None:
+        if self.sync is not None:
+            self.sync()
         watts = self.power_model.power_w(self.device, self.state.util)
         self.samples.append(
             PowerSample(time_s=self.env.now, power_w=watts, phase=self.state.phase)

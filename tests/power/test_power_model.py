@@ -78,3 +78,22 @@ class TestPowerModel:
             ComponentUtilization(gpu_compute=0.9, gpu_busy=0.5)
         with pytest.raises(ConfigError):
             ComponentUtilization(cpu_cores_active=-1.0)
+
+
+class TestPowerMemo:
+    def test_hit_returns_the_identical_float(self, model, orin):
+        first = model.power_w(orin, busy_util())
+        # An equal (not identical) utilization snapshot is the same key.
+        again = model.power_w(orin, busy_util())
+        assert again is first
+        assert again == sum(model.breakdown(orin, busy_util()).values())
+
+    def test_operating_point_change_misses(self, model, orin):
+        util = busy_util()
+        maxn = model.power_w(orin, util)
+        entries = len(model._memo)
+        apply_power_mode(orin, get_power_mode("H"))
+        low = model.power_w(orin, util)
+        assert len(model._memo) == entries + 1
+        assert low != maxn
+        assert low == PowerModel().power_w(orin, util)

@@ -338,3 +338,76 @@ def test_schedule_at_rejects_double_schedule_and_past():
     env2.run(until=5.0)
     with pytest.raises(SimulationError):
         env2.schedule_at(Event(env2), 3.0)
+
+
+# -- ordering keys of lazily advanced processes ------------------------------
+
+
+def test_scheduled_at_orders_as_if_inserted_later():
+    """An event scheduled early *as if* at t=2 fires after same-time
+    events inserted before t=2 and before those inserted after it."""
+    env = Environment()
+    fired = []
+
+    def at(delay_to_insert, when, tag):
+        yield env.timeout(delay_to_insert)
+        yield env.timeout_at(when)
+        fired.append(tag)
+
+    env.process(at(1.0, 5.0, "inserted-at-1"))
+    env.process(at(3.0, 5.0, "inserted-at-3"))
+    virtual = env.timeout_at(5.0, scheduled_at=2.0)
+    virtual.callbacks.append(lambda ev: fired.append("virtual-at-2"))
+    env.run()
+    assert fired == ["inserted-at-1", "virtual-at-2", "inserted-at-3"]
+
+
+def test_claimed_seq_breaks_same_instant_ties():
+    env = Environment()
+    fired = []
+    seq = env.next_seq()  # claimed before the competing insertion
+    env.timeout_at(1.0).callbacks.append(lambda ev: fired.append("later"))
+    env.timeout_at(1.0, seq=seq).callbacks.append(
+        lambda ev: fired.append("claimed-earlier"))
+    env.run()
+    assert fired == ["claimed-earlier", "later"]
+
+
+def test_current_order_exposes_the_running_event():
+    env = Environment()
+    seen = []
+
+    def proc():
+        yield env.timeout(2.0)
+        seen.append(env.current_order()[:2])
+
+    env.process(proc())
+    env.run(until=10.0)
+    assert seen == [(2.0, 0.0)]
+    assert env.current_order() is None  # run(until=t) processed all <= t
+
+
+def test_retarget_moves_a_wakeup_earlier():
+    env = Environment()
+    woke = []
+
+    def sleeper():
+        yield env.timeout_at(10.0)
+        woke.append(env.now)
+
+    proc = env.process(sleeper())
+    env.run(until=1.0)
+    proc.retarget(env.timeout_at(4.0))
+    env.run()
+    assert woke == [4.0]  # the stale 10.0 wake-up is ignored
+
+
+def test_pause_hooks_run_whenever_run_returns():
+    env = Environment()
+    calls = []
+    env.on_pause(lambda: calls.append((env.now, env.current_order())))
+    done = env.timeout(3.0)
+    env.run(until=1.0)
+    env.run(until=done)
+    assert calls[0] == (1.0, None)
+    assert calls[1][0] == 3.0 and calls[1][1][3] is done
