@@ -43,7 +43,32 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
+
+
+def _list_arg(text: str, flag: str, cast=str) -> tuple:
+    """A comma-separated CLI list; typed error when empty or unparsable."""
+    try:
+        values = tuple(cast(v.strip()) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise ConfigError(f"{flag}: cannot parse {text!r}") from None
+    if not values:
+        raise ConfigError(f"{flag}: expected a comma-separated list")
+    return values
+
+
+def _print_grid(report, cache_key: str, csv_path: Optional[str],
+                *extra: str) -> int:
+    """Table, any extra lines, ``cache_key=`` and the optional CSV."""
+    print(report.table())
+    for line in extra:
+        print(line)
+    print(f"cache_key={cache_key}")
+    if csv_path:
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(report.csv())
+        print(f"wrote {csv_path}")
+    return 0
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -292,10 +317,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_kvtier(args: argparse.Namespace) -> int:
-    from repro.kvtier import KvTierSpec, run_kvtier, sweep_rows_csv
-
-    def _floats(text: str) -> tuple:
-        return tuple(float(v) for v in text.split(",") if v.strip())
+    from repro.kvtier import KvTierSpec, run_kvtier
 
     spec = KvTierSpec(
         device=args.device,
@@ -309,38 +331,26 @@ def _cmd_kvtier(args: argparse.Namespace) -> int:
         output_tokens=args.output_tokens,
         max_batch=args.max_batch,
         kv_budget_frac=args.kv_budget_frac,
-        policies=tuple(p.strip() for p in args.policies.split(",")
-                       if p.strip()),
-        triggers=_floats(args.triggers),
-        share_ratios=_floats(args.share_ratios),
+        policies=_list_arg(args.policies, "--policies"),
+        triggers=_list_arg(args.triggers, "--triggers", float),
+        share_ratios=_list_arg(args.share_ratios, "--share-ratios", float),
         seed=args.seed,
     )
-    report = run_kvtier(spec)
-    print(report.table())
-    print(f"cache_key={spec.cache_key()}")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(sweep_rows_csv(report))
-        print(f"wrote {args.csv}")
-    return 0
+    return _print_grid(run_kvtier(spec), spec.cache_key(), args.csv)
 
 
 def _cmd_fairness(args: argparse.Namespace) -> int:
-    from repro.fairness import (FairnessSpec, fairness_rows_csv,
-                                run_fairness)
-
-    def _names(text: str) -> tuple:
-        return tuple(v.strip() for v in text.split(",") if v.strip())
+    from repro.fairness import FairnessSpec, run_fairness
 
     spec = FairnessSpec(
         device=args.device,
         model=args.model,
         precision=args.precision,
-        runtimes=_names(args.runtimes),
-        kv_policies=_names(args.kv_policies),
-        schedulers=_names(args.schedulers),
-        mixes=_names(args.mixes),
-        power_modes=_names(args.power_modes),
+        runtimes=_list_arg(args.runtimes, "--runtimes"),
+        kv_policies=_list_arg(args.kv_policies, "--kv-policies"),
+        schedulers=_list_arg(args.schedulers, "--schedulers"),
+        mixes=_list_arg(args.mixes, "--mixes"),
+        power_modes=_list_arg(args.power_modes, "--power-modes"),
         routing=args.routing,
         rate_per_s=args.rate,
         n_interactions=args.interactions,
@@ -352,32 +362,22 @@ def _cmd_fairness(args: argparse.Namespace) -> int:
         slo_ttft_s=args.slo_ttft,
         seed=args.seed,
     )
-    report = run_fairness(spec)
-    print(report.table())
-    print(f"cache_key={spec.cache_key()}")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(fairness_rows_csv(report))
-        print(f"wrote {args.csv}")
-    return 0
+    return _print_grid(run_fairness(spec), spec.cache_key(), args.csv)
 
 
 def _cmd_sustain(args: argparse.Namespace) -> int:
-    from repro.sustain import SustainSpec, run_sustain, sustain_rows_csv
-
-    def _names(text: str) -> tuple:
-        return tuple(v.strip() for v in text.split(",") if v.strip())
+    from repro.sustain import SustainSpec, run_sustain
 
     spec = SustainSpec(
-        devices=_names(args.devices),
+        devices=_list_arg(args.devices, "--devices"),
         model=args.model,
         precision=args.precision,
         slm_model=args.slm_model,
         slm_precision=args.slm_precision,
-        scenarios=_names(args.scenarios),
-        routers=_names(args.routers),
-        cascades=_names(args.cascades),
-        power_modes=_names(args.power_modes),
+        scenarios=_list_arg(args.scenarios, "--scenarios"),
+        routers=_list_arg(args.routers, "--routers"),
+        cascades=_list_arg(args.cascades, "--cascades"),
+        power_modes=_list_arg(args.power_modes, "--power-modes"),
         gate=args.gate,
         rate_per_s=args.rate,
         n_requests=args.requests,
@@ -388,52 +388,37 @@ def _cmd_sustain(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         seed=args.seed,
     )
-    report = run_sustain(spec)
-    print(report.table())
-    print(f"cache_key={spec.cache_key()}")
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(sustain_rows_csv(report))
-        print(f"wrote {args.csv}")
-    return 0
+    return _print_grid(run_sustain(spec), spec.cache_key(), args.csv)
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    from repro.plan import (PlanSpec, ValidationSpec, plan, run_validation,
-                            validation_rows_csv)
+    from repro.plan import PlanSpec, ValidationSpec, plan, run_validation
     from repro.reporting import format_table, plan_table
 
-    def _names(text: str) -> tuple:
-        return tuple(v.strip() for v in text.split(",") if v.strip())
-
+    runtimes = _list_arg(args.runtimes, "--runtimes")
+    precisions = _list_arg(args.precisions, "--precisions")
+    power_modes = _list_arg(args.power_modes, "--power-modes")
     if args.validate:
         vspec = ValidationSpec(
             model=args.model, device=args.device,
-            precision=_names(args.precisions)[0],
-            power_mode=_names(args.power_modes)[0],
+            precision=precisions[0], power_mode=power_modes[0],
             nodes=args.validate_nodes, n_requests=args.validate_requests,
             input_tokens=args.input_tokens,
             output_tokens=args.output_tokens, max_batch=args.max_batch,
-            runtimes=_names(args.runtimes), seed=args.seed,
+            runtimes=runtimes, seed=args.seed,
         )
         report = run_validation(vspec)
-        print(report.table())
-        print(f"within_tolerance={report.within_fraction:.3f} "
-              f"(tolerance={vspec.tolerance})")
-        print(f"cache_key={vspec.cache_key()}")
-        if args.csv:
-            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                fh.write(validation_rows_csv(report))
-            print(f"wrote {args.csv}")
-        return 0
+        return _print_grid(
+            report, vspec.cache_key(), args.csv,
+            f"within_tolerance={report.within_fraction:.3f} "
+            f"(tolerance={vspec.tolerance})")
 
     spec = PlanSpec(
         model=args.model, device=args.device, rate_per_s=args.rate,
         input_tokens=args.input_tokens, output_tokens=args.output_tokens,
         slo_ttft_s=args.slo_ttft, slo_tpot_s=args.slo_tpot,
-        slo_e2e_s=args.slo_e2e, runtimes=_names(args.runtimes),
-        precisions=_names(args.precisions),
-        power_modes=_names(args.power_modes), max_nodes=args.max_nodes,
+        slo_e2e_s=args.slo_e2e, runtimes=runtimes, precisions=precisions,
+        power_modes=power_modes, max_nodes=args.max_nodes,
         max_batch=args.max_batch, max_utilization=args.max_utilization,
         carbon_gco2_per_kwh=args.carbon_gco2,
     )

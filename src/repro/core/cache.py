@@ -120,6 +120,18 @@ def payload_fingerprint(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def versioned_fingerprint(spec, **versions) -> str:
+    """Content address of a frozen spec dataclass and its model versions.
+
+    Every spec field (``dataclasses.asdict``) plus one top-level entry
+    per ``name=version`` keyword; the sweep and plan specs pass the
+    semantics-version constant their results depend on.
+    """
+    payload = dataclasses.asdict(spec)
+    payload.update(versions)
+    return payload_fingerprint(payload)
+
+
 @dataclasses.dataclass
 class CacheStats:
     """Hit/miss accounting for one :class:`ResultCache`."""

@@ -37,7 +37,6 @@ from repro.power.model import PowerModel
 from repro.power.modes import PowerMode, apply_power_mode
 from repro.quant.dtypes import Precision
 from repro.sim.environment import Environment
-from repro.sim.tracing import Trace
 from repro.telemetry.energy import median_power_w, trapezoid_energy_j
 from repro.telemetry.sampler import PowerSampler
 
@@ -148,9 +147,6 @@ class ServingEngine:
         self.tracker = MemoryTracker(self.allocator)
         #: Observability sink: spans/metrics land here when enabled.
         self.obs = observer if observer is not None else NULL_OBSERVER
-        #: Legacy kind-filtered view; shares the observer when tracing
-        #: is on so span records surface through the old API too.
-        self.trace = Trace(self.obs if self.obs.enabled else None)
         self.timer = self.backend.make_timer(arch, device, precision,
                                              self.params)
 

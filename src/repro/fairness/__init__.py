@@ -24,16 +24,12 @@ from repro.fairness.scheduler import (FAIRNESS_VERSION, FairScheduler,
                                       list_fair_schedulers)
 from repro.fairness.session import (Interaction, SessionTurn,
                                     session_requests, session_workload)
-from repro.fairness.sweep import (TENANT_MIXES, FairnessReport,
-                                  FairnessSpec, fairness_rows_csv,
-                                  run_fairness)
+from repro.fairness.sweep import TENANT_MIXES, FairnessSpec, run_fairness
 from repro.fairness.throttle import TenantBucket, TokenThrottle
 
 __all__ = [
-    "FairnessReport",
     "FairnessSpec",
     "TENANT_MIXES",
-    "fairness_rows_csv",
     "run_fairness",
     "FAIRNESS_VERSION",
     "FCFSScheduler",

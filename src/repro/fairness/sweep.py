@@ -23,11 +23,12 @@ CSV byte-for-byte.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.cache import payload_fingerprint
+from repro.cluster.workload import TenantProfile
+from repro.core.cache import versioned_fingerprint
+from repro.core.grid import GridReport, run_grid
 from repro.errors import ConfigError, ExperimentError
 from repro.fairness.scheduler import FAIRNESS_VERSION, get_fair_scheduler
 
@@ -37,44 +38,40 @@ from repro.fairness.scheduler import FAIRNESS_VERSION, get_fair_scheduler
 #: exactly the over-issuing adversary fair schedulers exist to contain.
 #: Mixes listed in :data:`WEIGHTED_ENTITLEMENT_MIXES` instead carry
 #: their profile weights into the schedulers as entitlements.
-TENANT_MIXES: Dict[str, Tuple] = {}
-
-#: Mixes whose profile weights are fairness *entitlements* too: VTC/WSC
-#: should serve these tenants tokens in proportion to their weights,
-#: not equally.
-WEIGHTED_ENTITLEMENT_MIXES = frozenset({"weighted"})
-
-
-def _init_mixes() -> None:
-    from repro.cluster.workload import TenantProfile
-
-    TENANT_MIXES["balanced"] = (
+TENANT_MIXES: Dict[str, Tuple[TenantProfile, ...]] = {
+    "balanced": (
         TenantProfile("chat", weight=1.0, mean_input_tokens=48,
                       mean_output_tokens=96, cv_input=0.6, cv_output=0.7),
         TenantProfile("summarize", weight=1.0, mean_input_tokens=256,
                       mean_output_tokens=48, cv_input=0.4, cv_output=0.4),
         TenantProfile("analytics", weight=1.0, mean_input_tokens=384,
                       mean_output_tokens=128, cv_input=0.3, cv_output=0.3),
-    )
-    TENANT_MIXES["flood"] = (
+    ),
+    "flood": (
         TenantProfile("flood", weight=8.0, mean_input_tokens=192,
                       mean_output_tokens=160, cv_input=0.2, cv_output=0.2),
         TenantProfile("polite-a", weight=1.0, mean_input_tokens=48,
                       mean_output_tokens=64, cv_input=0.5, cv_output=0.5),
         TenantProfile("polite-b", weight=1.0, mean_input_tokens=48,
                       mean_output_tokens=64, cv_input=0.5, cv_output=0.5),
-    )
+    ),
     # Premium pays for a 3x entitlement and issues many small requests;
     # standard issues a third as many sessions at 3x the token shapes,
     # so the two tenants *demand* roughly equal tokens.  Under
     # contention a weight-honoring scheduler should serve premium ~3x
     # standard's tokens; FCFS, blind to weights, serves demand (~1:1).
-    TENANT_MIXES["weighted"] = (
+    "weighted": (
         TenantProfile("premium", weight=3.0, mean_input_tokens=48,
                       mean_output_tokens=48, cv_input=0.3, cv_output=0.3),
         TenantProfile("standard", weight=1.0, mean_input_tokens=144,
                       mean_output_tokens=144, cv_input=0.3, cv_output=0.3),
-    )
+    ),
+}
+
+#: Mixes whose profile weights are fairness *entitlements* too: VTC/WSC
+#: should serve these tenants tokens in proportion to their weights,
+#: not equally.
+WEIGHTED_ENTITLEMENT_MIXES = frozenset({"weighted"})
 
 
 @dataclass(frozen=True)
@@ -126,8 +123,6 @@ class FairnessSpec:
 
         for p in self.kv_policies:
             get_kv_policy(p)  # typed error likewise
-        if not TENANT_MIXES:
-            _init_mixes()
         for m in self.mixes:
             if m not in TENANT_MIXES:
                 raise ConfigError(
@@ -138,29 +133,7 @@ class FairnessSpec:
 
     def cache_key(self) -> str:
         """Content address folding the fairness semantics version."""
-        payload = dataclasses.asdict(self)
-        payload["fairness_version"] = FAIRNESS_VERSION
-        return payload_fingerprint(payload)
-
-
-@dataclass
-class FairnessReport:
-    """All sweep rows for one spec (deterministic row order)."""
-
-    spec: FairnessSpec
-    rows: List[Dict] = dataclasses.field(default_factory=list)
-
-    def table(self) -> str:
-        """Aligned text table of the rows (stable formatting)."""
-        if not self.rows:
-            return ""
-        cols = list(self.rows[0])
-        widths = {c: max(len(c), *(len(str(r[c])) for r in self.rows))
-                  for c in cols}
-        lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
-        for r in self.rows:
-            lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in cols))
-        return "\n".join(lines)
+        return versioned_fingerprint(self, fairness_version=FAIRNESS_VERSION)
 
 
 def _weight_fidelity(requests, weights: Dict[str, float]) -> float:
@@ -260,26 +233,10 @@ def _run_point(spec: FairnessSpec, scheduler: str, mix: str,
     }
 
 
-def run_fairness(spec: FairnessSpec) -> FairnessReport:
-    """Run the scheduler × mix × runtime × kv × power grid."""
-    report = FairnessReport(spec=spec)
-    for mix in spec.mixes:
-        for runtime in spec.runtimes:
-            for kv_policy in spec.kv_policies:
-                for power_mode in spec.power_modes:
-                    for scheduler in spec.schedulers:
-                        report.rows.append(_run_point(
-                            spec, scheduler, mix, runtime, kv_policy,
-                            power_mode))
-    return report
-
-
-def fairness_rows_csv(report: FairnessReport) -> str:
-    """The rows as canonical CSV text (the determinism-gate artifact)."""
-    if not report.rows:
-        return ""
-    cols = list(report.rows[0])
-    lines = [",".join(cols)]
-    for r in report.rows:
-        lines.append(",".join(str(r[c]) for c in r))
-    return "\n".join(lines) + "\n"
+def run_fairness(spec: FairnessSpec) -> GridReport:
+    """Run the mix × runtime × kv × power × scheduler grid."""
+    return run_grid(spec, (("mix", spec.mixes),
+                           ("runtime", spec.runtimes),
+                           ("kv_policy", spec.kv_policies),
+                           ("power_mode", spec.power_modes),
+                           ("scheduler", spec.schedulers)), _run_point)

@@ -11,11 +11,11 @@ the CI smoke job runs the sweep twice and diffs the CSV byte-for-byte.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
-from repro.core.cache import payload_fingerprint
+from repro.core.cache import versioned_fingerprint
+from repro.core.grid import GridReport, run_grid
 from repro.errors import ConfigError
 from repro.kvtier.policy import KV_TIER_VERSION, get_kv_policy
 
@@ -61,29 +61,7 @@ class KvTierSpec:
 
     def cache_key(self) -> str:
         """Content address folding the kvtier semantics version."""
-        payload = dataclasses.asdict(self)
-        payload["kv_tier_version"] = KV_TIER_VERSION
-        return payload_fingerprint(payload)
-
-
-@dataclass
-class KvTierReport:
-    """All sweep rows for one spec (deterministic row order)."""
-
-    spec: KvTierSpec
-    rows: List[Dict] = dataclasses.field(default_factory=list)
-
-    def table(self) -> str:
-        """Aligned text table of the rows (stable formatting)."""
-        if not self.rows:
-            return ""
-        cols = list(self.rows[0])
-        widths = {c: max(len(c), *(len(str(r[c])) for r in self.rows))
-                  for c in cols}
-        lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
-        for r in self.rows:
-            lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in cols))
-        return "\n".join(lines)
+        return versioned_fingerprint(self, kv_tier_version=KV_TIER_VERSION)
 
 
 def _run_point(spec: KvTierSpec, policy_name: str, trigger: float,
@@ -111,9 +89,8 @@ def _run_point(spec: KvTierSpec, policy_name: str, trigger: float,
         seed=spec.seed,
     )
     report = cluster.run(workload)
-    policy = node.kv_policy
-    row = {
-        "policy": policy.label,
+    return {
+        "policy": node.kv_policy.label,
         "trigger": trigger,
         "share_ratio": share_ratio,
         "completed": report.completed,
@@ -129,26 +106,10 @@ def _run_point(spec: KvTierSpec, policy_name: str, trigger: float,
         "prefix_hit_tokens": report.prefix_hit_tokens,
         "j_per_token": round(report.j_per_token, 4),
     }
-    return row
 
 
-def run_kvtier(spec: KvTierSpec) -> KvTierReport:
-    """Run the full policy × trigger × share-ratio grid (deterministic)."""
-    report = KvTierReport(spec=spec)
-    for share in spec.share_ratios:
-        for policy_name in spec.policies:
-            for trigger in spec.triggers:
-                report.rows.append(
-                    _run_point(spec, policy_name, trigger, share))
-    return report
-
-
-def sweep_rows_csv(report: KvTierReport) -> str:
-    """The rows as canonical CSV text (the determinism-gate artifact)."""
-    if not report.rows:
-        return ""
-    cols = list(report.rows[0])
-    lines = [",".join(cols)]
-    for r in report.rows:
-        lines.append(",".join(str(r[c]) for c in r))
-    return "\n".join(lines) + "\n"
+def run_kvtier(spec: KvTierSpec) -> GridReport:
+    """Run the full share-ratio × policy × trigger grid (deterministic)."""
+    return run_grid(spec, (("share_ratio", spec.share_ratios),
+                           ("policy_name", spec.policies),
+                           ("trigger", spec.triggers)), _run_point)

@@ -36,7 +36,6 @@ from repro.plan.validate import (
     ValidationReport,
     ValidationSpec,
     run_validation,
-    validation_rows_csv,
 )
 
 __all__ = [
@@ -58,5 +57,4 @@ __all__ = [
     "probe_max_seq_len",
     "run_validation",
     "steady_state",
-    "validation_rows_csv",
 ]

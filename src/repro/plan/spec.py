@@ -19,12 +19,12 @@ The engine-probing feasibility searches are methods here
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.core.cache import payload_fingerprint
+from repro.core.cache import versioned_fingerprint
+from repro.core.grid import GridReport, run_grid
 from repro.errors import ConfigError
 from repro.plan.fluid import FluidEstimate, steady_state
 from repro.plan.rates import ServiceRates
@@ -99,9 +99,7 @@ class PlanSpec:
 
     def cache_key(self) -> str:
         """Content address folding the fluid-model version."""
-        payload = dataclasses.asdict(self)
-        payload["plan_version"] = PLAN_VERSION
-        return payload_fingerprint(payload)
+        return versioned_fingerprint(self, plan_version=PLAN_VERSION)
 
     # -- engine-probing feasibility (the folded legacy planner) ----------
     def max_batch_size(self, upper: int = 4096) -> Optional[int]:
@@ -140,28 +138,14 @@ class PlanSpec:
 
 
 @dataclass
-class PlanReport:
+class PlanReport(GridReport):
     """Capacity-search outcome: one row per candidate, best first marked.
 
     ``chosen`` is the feasible row with the fewest nodes (fleet watts
     breaking ties); ``None`` when nothing inside the axes meets the SLO.
     """
 
-    spec: PlanSpec
-    rows: List[Dict] = dataclasses.field(default_factory=list)
     chosen: Optional[Dict] = None
-
-    def table(self) -> str:
-        """Aligned text table of the rows (stable formatting)."""
-        if not self.rows:
-            return ""
-        cols = list(self.rows[0])
-        widths = {c: max(len(c), *(len(str(r[c])) for r in self.rows))
-                  for c in cols}
-        lines = ["  ".join(c.ljust(widths[c]) for c in cols)]
-        for r in self.rows:
-            lines.append("  ".join(str(r[c]).ljust(widths[c]) for c in cols))
-        return "\n".join(lines)
 
 
 def _fin(value: float, digits: int) -> object:
@@ -211,6 +195,20 @@ def _row_of(spec: PlanSpec, runtime: str, precision: str, mode: str,
     return row
 
 
+def _search_nodes(spec: PlanSpec, runtime: str, precision: str,
+                  mode: str) -> Dict:
+    """One candidate's row at the first node count that meets the SLO."""
+    rates = ServiceRates(spec.model, precision, runtime,
+                         device=spec.device, power_mode=mode)
+    for nodes in range(1, spec.max_nodes + 1):
+        est = steady_state(rates, spec.rate_per_s, spec.input_tokens,
+                           spec.output_tokens, nodes=nodes,
+                           max_batch=spec.max_batch)
+        if _meets_slo(spec, est):
+            return _row_of(spec, runtime, precision, mode, est, True)
+    return _row_of(spec, runtime, precision, mode, est, False)
+
+
 def plan(spec: PlanSpec) -> PlanReport:
     """Run the capacity search over the spec's candidate axes.
 
@@ -221,26 +219,10 @@ def plan(spec: PlanSpec) -> PlanReport:
     with ``slo_ok=False`` at ``max_nodes`` so the table still shows
     *why* they lost.
     """
-    report = PlanReport(spec=spec)
-    for runtime in spec.runtimes:
-        for precision in spec.precisions:
-            for mode in spec.power_modes:
-                rates = ServiceRates(
-                    spec.model, precision, runtime,
-                    device=spec.device, power_mode=mode)
-                best: Optional[FluidEstimate] = None
-                feasible = False
-                for nodes in range(1, spec.max_nodes + 1):
-                    est = steady_state(
-                        rates, spec.rate_per_s, spec.input_tokens,
-                        spec.output_tokens, nodes=nodes,
-                        max_batch=spec.max_batch)
-                    best = est
-                    if _meets_slo(spec, est):
-                        feasible = True
-                        break
-                report.rows.append(_row_of(
-                    spec, runtime, precision, mode, best, feasible))
+    report = run_grid(spec, (("runtime", spec.runtimes),
+                             ("precision", spec.precisions),
+                             ("mode", spec.power_modes)), _search_nodes,
+                      report=PlanReport)
     winners = [r for r in report.rows if r["slo_ok"]]
     if winners:
         def rank(r: Dict):

@@ -1,9 +1,8 @@
-"""The spec-first API surface, and the ``Trace`` view over ``Observer``.
+"""The spec-first API surface.
 
-The deprecated model-name sweep calls, ``run_full_study`` keywords and
-``repro.core.planner`` functions are gone; what remains here pins the
-spec-first entry points and the legacy ``Trace`` view the executor and
-runtime still use.
+The deprecated model-name sweep calls, ``run_full_study`` keywords,
+``repro.core.planner`` functions and the ``sim.tracing.Trace`` view are
+gone; what remains here pins the spec-first entry points.
 """
 
 import pytest
@@ -17,9 +16,7 @@ from repro.core.sweeps import (
     quantization_sweep_specs,
     seq_len_sweep_specs,
 )
-from repro.obs import Observer
 from repro.quant.dtypes import Precision
-from repro.sim.tracing import Trace
 
 
 class TestForModel:
@@ -79,23 +76,3 @@ class TestPlannerShims:
         probe_max_batch("phi2", Precision.FP16, upper=64)
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
-
-
-class TestTraceShim:
-    def test_record_and_by_kind_still_work(self):
-        trace = Trace()
-        trace.record(1.0, "power_w", watts=30.0)
-        trace.record(0.5, "decode", tokens=4)
-        assert [r.kind for r in trace] == ["decode", "power_w"]
-        (rec,) = trace.by_kind("power_w")
-        assert rec.data == {"watts": 30.0}
-        assert trace.kinds() == ["decode", "power_w"]
-        assert len(trace) == 2
-
-    def test_view_projects_observer_spans(self):
-        obs = Observer()
-        obs.complete("prefill", 0.0, 1.0, track="engine", tokens=8)
-        trace = Trace(obs)
-        (rec,) = trace.by_kind("prefill")
-        assert rec.time == 0.0
-        assert rec.data == {"tokens": 8, "duration_s": 1.0}

@@ -1,10 +1,13 @@
-"""Fairness sweep: reproducibility gate, row order, cache keys."""
+"""Fairness sweep: spec validation, row order, cache keys, tenant mixes."""
+
+import subprocess
+import sys
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.fairness import (FairnessSpec, fairness_rows_csv, run_fairness)
-from repro.fairness.sweep import TENANT_MIXES, _init_mixes
+from repro.fairness import FairnessSpec, run_fairness
+from repro.fairness.sweep import TENANT_MIXES
 
 
 def tiny_spec(**kw):
@@ -37,8 +40,14 @@ class TestSpec:
             tiny_spec(throttle_rate=-1.0)
 
     def test_builtin_mixes_registered(self):
-        _init_mixes()
         assert {"balanced", "flood", "weighted"} <= set(TENANT_MIXES)
+
+    def test_mixes_are_populated_at_import(self):
+        code = ("import repro.fairness as f; "
+                "print(','.join(sorted(f.TENANT_MIXES)))")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "balanced,flood,weighted"
 
 
 class TestCacheKey:
@@ -67,8 +76,8 @@ class TestCacheKey:
 class TestSweep:
     def test_rows_csv_is_bit_reproducible(self):
         spec = tiny_spec()
-        a = fairness_rows_csv(run_fairness(spec))
-        b = fairness_rows_csv(run_fairness(spec))
+        a = run_fairness(spec).csv()
+        b = run_fairness(spec).csv()
         assert a == b
         assert a.endswith("\n")
 

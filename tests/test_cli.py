@@ -192,6 +192,16 @@ def test_kvtier_rejects_unknown_policy(capsys):
     assert "unknown KV lifecycle policy" in capsys.readouterr().err
 
 
+def test_kvtier_unparsable_trigger_is_clean_error(capsys):
+    assert main(["kvtier", "--triggers", "abc"]) == 1
+    assert "error: --triggers" in capsys.readouterr().err
+
+
+def test_plan_validate_empty_precisions_is_clean_error(capsys):
+    assert main(["plan", "--validate", "--precisions", ""]) == 1
+    assert "error: --precisions" in capsys.readouterr().err
+
+
 def test_cluster_accepts_kv_policy(capsys):
     rc = main(["cluster", "--devices", "jetson-orin-agx-64gb",
                "--requests", "8", "--kv-policy", "swap-lru",
