@@ -4,10 +4,11 @@
 Runs the same slice of the full study under several execution modes and
 reports wall-clock speedups over the step-by-step serial baseline:
 
-- ``baseline``      — per-token decode events, serial, no cache (the
-  execution model of the original harness; kernel-cost memoization and
-  the BLAS INT8 perplexity path cannot be disabled, so this *under*-
-  states the end-to-end gain over the original code).
+- ``baseline``      — per-token decode events, serial, no cache: the
+  :class:`PerTokenExecutor` oracle from ``tests/engine`` (the execution
+  model of the original harness; kernel-cost memoization and the BLAS
+  INT8 perplexity path cannot be disabled, so this *under*-states the
+  end-to-end gain over the original code).
 - ``fast-forward``  — decode stretches collapsed to one event each,
   vectorized decode stepping, and memoized allocator trajectories.
 - ``parallel``      — fast-forward plus process fan-out (one row per
@@ -36,14 +37,18 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests" / "engine"))
 
+from _per_token_executor import per_token_executors  # noqa: E402
 from repro.core.cache import ResultCache  # noqa: E402
 from repro.core.parallel import shutdown_pool  # noqa: E402
 from repro.core.study import (FullStudyResults, StudySpec,  # noqa: E402
@@ -90,16 +95,17 @@ def main() -> int:
         kw = dict(models=["MS-Phi2", "Llama3"], n_runs=2,
                   include_power_energy=True)
 
-    def timed(label, fast_forward=True, **extra):
+    def timed(label, per_token=False, **extra):
         # Cold-start honesty: scenarios share one process, and forked
         # workers inherit parent memory — clear the process-global
         # trajectory cache and tear down the persistent pool so every
         # timed row pays its own warm-up.
         TRAJECTORY_CACHE.clear()
         shutdown_pool()
-        spec = StudySpec.of(fast_forward=fast_forward, **kw)
+        spec = StudySpec.of(**kw)
         t0 = time.perf_counter()
-        res = run_full_study(spec, **extra)
+        with per_token_executors() if per_token else contextlib.nullcontext():
+            res = run_full_study(spec, **extra)
         dt = time.perf_counter() - t0
         print(f"  {label:18s} {dt:8.2f}s", flush=True)
         return dt, study_rows(res)
@@ -116,7 +122,7 @@ def main() -> int:
     from repro.perplexity import perplexity_table
     perplexity_table(get_device("jetson-orin-agx-64gb"))
 
-    t_base, rows_base = timed("baseline", fast_forward=False)
+    t_base, rows_base = timed("baseline", per_token=True)
     t_ff, rows_ff = timed("fast-forward")
     job_counts = [j for j in (2, args.jobs) if j > 1]
     job_counts = sorted(set(job_counts))

@@ -70,7 +70,7 @@ class RuntimeBackend:
         raise NotImplementedError
 
     def make_executor(self, timer, allocator, arch, precision: Precision,
-                      batch_size: int, fast_forward: bool = True):
+                      batch_size: int):
         """Executor for one batch: an object whose ``run(env, request,
         state, obs=..., track=...)`` generator yields sim timeouts and
         returns a :class:`~repro.engine.request.BatchResult`."""

@@ -205,14 +205,13 @@ class GGUFBackend(RuntimeBackend):
         return int(self.cost.workspace_gb * 1e9)
 
     def make_executor(self, timer, allocator, arch, precision: Precision,
-                      batch_size: int, fast_forward: bool = True):
+                      batch_size: int):
         return BatchExecutor(
             timer,
             allocator,
             kv_mode="static",
             eager_score_buffers=False,
             workspace_bytes=self.workspace_bytes(arch, precision, batch_size),
-            fast_forward=fast_forward,
         )
 
     def quant_error(self, arch, precision: Precision):

@@ -89,13 +89,12 @@ class HFTransformersBackend(RuntimeBackend):
         return torch_workspace_bytes(arch, precision, batch_size)
 
     def make_executor(self, timer, allocator, arch, precision: Precision,
-                      batch_size: int, fast_forward: bool = True):
+                      batch_size: int):
         return BatchExecutor(
             timer,
             allocator,
             kv_mode=self.kv_mode,
             workspace_bytes=self.workspace_bytes(arch, precision, batch_size),
-            fast_forward=fast_forward,
         )
 
     def decode_concat_bytes(self, live_kv_bytes):

@@ -80,15 +80,19 @@ class _PagedBatchKV:
 
 
 class PagedBatchExecutor(BatchExecutor):
-    """The shared prefill/decode loop over a paged block pool."""
+    """The shared prefill/decode emitter over a paged block pool.
+
+    Overriding :meth:`_make_kv` takes the batch off the memoized
+    trajectory replay: its memory step walks the real allocator and
+    block pool, so a pool that runs dry mid-decode surfaces as the
+    batch's OOM at the same step.  Decode pays no concat traffic.
+    """
 
     def __init__(self, timer, allocator, block_tokens: int,
-                 pool_utilization: float, workspace_bytes: int = 0,
-                 fast_forward: bool = True):
+                 pool_utilization: float, workspace_bytes: int = 0):
         super().__init__(timer, allocator, kv_mode="paged",
                          eager_score_buffers=False,
-                         workspace_bytes=workspace_bytes,
-                         fast_forward=fast_forward)
+                         workspace_bytes=workspace_bytes)
         self.block_tokens = block_tokens
         self.pool_utilization = pool_utilization
 
@@ -147,14 +151,13 @@ class PagedBackend(RuntimeBackend):
         return torch_workspace_bytes(arch, precision, batch_size)
 
     def make_executor(self, timer, allocator, arch, precision: Precision,
-                      batch_size: int, fast_forward: bool = True):
+                      batch_size: int):
         return PagedBatchExecutor(
             timer,
             allocator,
             block_tokens=self.block_tokens,
             pool_utilization=self.pool_utilization,
             workspace_bytes=self.workspace_bytes(arch, precision, batch_size),
-            fast_forward=fast_forward,
         )
 
     # -- block-granular admission -------------------------------------------

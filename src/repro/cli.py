@@ -454,7 +454,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
         models,
         n_runs=args.runs,
         include_power_energy=not args.no_power_energy,
-        fast_forward=not args.no_fast_forward,
         runtime=args.runtime,
     )
     obs = _obs_from_args(args)
@@ -500,8 +499,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     models = ([m.strip() for m in args.models.split(",") if m.strip()]
               if args.models else None)
     specs = default_profile_specs(models, n_runs=args.runs)
-    report = profile_specs(specs, fast_forward=not args.per_token,
-                           top=args.top)
+    report = profile_specs(specs, top=args.top)
     text = report.format()
     print(text)
     if args.out:
@@ -575,9 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated model names (default: llama)")
     prof.add_argument("--runs", type=int, default=2,
                       help="measured runs per configuration")
-    prof.add_argument("--per-token", action="store_true",
-                      help="profile the token-by-token path "
-                           "(fast_forward=False)")
     prof.add_argument("--top", type=int, default=25,
                       help="rows to show (sorted by cumulative time)")
     prof.add_argument("--out", default=None,
@@ -601,8 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "configuration (see `repro backends`)")
     study.add_argument("--no-power-energy", action="store_true",
                        help="skip the §3.3 power/energy batch grids")
-    study.add_argument("--no-fast-forward", action="store_true",
-                       help="step decode token-by-token (debugging)")
     study.add_argument("--quiet", action="store_true",
                        help="suppress per-sweep progress lines")
     _add_obs_args(study)

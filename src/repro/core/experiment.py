@@ -97,7 +97,6 @@ def run_experiment(
     spec: ExperimentSpec,
     params: Optional[EngineCostParams] = None,
     cache=None,
-    fast_forward: bool = True,
     observer=None,
 ) -> RunResult:
     """Execute one spec; OOM (at load or mid-run) yields ``oom=True``.
@@ -133,15 +132,14 @@ def run_experiment(
         # block on the claim and read the winner's result.
         return cache.get_or_compute(
             spec, effective_params,
-            lambda: _simulate_spec(spec, params, fast_forward, observer),
+            lambda: _simulate_spec(spec, params, observer),
         )
-    return _simulate_spec(spec, params, fast_forward, observer)
+    return _simulate_spec(spec, params, observer)
 
 
 def _simulate_spec(
     spec: ExperimentSpec,
     params: Optional[EngineCostParams],
-    fast_forward: bool,
     observer,
 ) -> RunResult:
     """Run the simulation for one spec (the cache-miss path)."""
@@ -152,7 +150,6 @@ def _simulate_spec(
     try:
         engine = ServingEngine(device, arch, spec.precision, params=params,
                                backend=backend_for_spec(spec),
-                               fast_forward=fast_forward,
                                observer=observer)
     except OutOfMemoryError:
         # The model itself does not fit (e.g. FP32 Mistral on 64GB).

@@ -13,15 +13,15 @@ with three guarantees:
   global RNGs on startup; the simulator itself never consumes global
   RNG state (every stochastic component derives its stream from
   explicit seeds), so serial and parallel runs are bit-identical —
-  asserted by ``tests/engine/test_fast_forward.py``.
+  asserted against the per-token oracle in ``tests/engine``.
 - **Shared cache**: when a :class:`~repro.core.cache.ResultCache` is
   given, workers consult and fill the same on-disk store (atomic
   writes plus a single-flight claim protocol, so a cold key is
   computed exactly once fleet-wide).
 
 Fan-out overhead is kept off the per-spec path: the shared immutables
-(cost params, cache config, fast-forward flag) ship **once** through the
-pool initializer instead of riding inside every task payload, specs are
+(cost params, cache config) ship **once** through the pool initializer
+instead of riding inside every task payload, specs are
 dispatched in contiguous chunks so each task amortizes the pickle and
 scheduling cost over several specs, and the pool itself persists across
 calls (``run_full_study`` runs many sweep phases back to back — paying
@@ -46,8 +46,8 @@ from repro.engine.runtime import RunResult
 _ctx: dict = {}
 
 
-def _worker_init(params, cache_root, cache_version,
-                 fast_forward) -> None:  # pragma: no cover - child process
+def _worker_init(params, cache_root,
+                 cache_version) -> None:  # pragma: no cover - child process
     """Pin child RNG state and install the shared per-worker context."""
     import random
 
@@ -61,7 +61,6 @@ def _worker_init(params, cache_root, cache_version,
     from repro.core.cache import ResultCache
 
     _ctx["params"] = params
-    _ctx["fast_forward"] = fast_forward
     # One persistent cache handle per worker: its CacheStats accumulate
     # across every chunk this worker executes, and _run_chunk ships the
     # per-chunk delta back via snapshot()/delta_since().
@@ -82,8 +81,7 @@ def _run_chunk(specs):
 
     cache = _ctx.get("cache")
     before = cache.stats.snapshot() if cache is not None else None
-    results = [run_experiment(s, params=_ctx.get("params"), cache=cache,
-                              fast_forward=_ctx.get("fast_forward", True))
+    results = [run_experiment(s, params=_ctx.get("params"), cache=cache)
                for s in specs]
     delta = cache.stats.delta_since(before) if cache is not None else None
     return results, delta
@@ -165,7 +163,6 @@ def run_specs(
     params: Optional[EngineCostParams] = None,
     jobs: Optional[int] = None,
     cache=None,
-    fast_forward: bool = True,
     observer=None,
 ) -> List[RunResult]:
     """Run every spec; returns results in spec order.
@@ -184,12 +181,12 @@ def run_specs(
     n_jobs = 1 if observing else resolve_jobs(jobs)
     if n_jobs <= 1 or len(specs) <= 1:
         return [run_experiment(s, params=params, cache=cache,
-                               fast_forward=fast_forward, observer=observer)
+                               observer=observer)
                 for s in specs]
 
     cache_root = str(cache.root) if cache is not None else None
     cache_version = cache.version if cache is not None else None
-    initargs = (params, cache_root, cache_version, fast_forward)
+    initargs = (params, cache_root, cache_version)
     max_workers = min(n_jobs, len(specs))
     slices = chunk_specs(len(specs), max_workers)
     pool = _get_pool(max_workers, initargs)

@@ -101,7 +101,6 @@ def report_from_stats(stats: pstats.Stats, top: int = 25,
 def profile_specs(
     specs: Sequence,
     params=None,
-    fast_forward: bool = True,
     top: int = 25,
 ) -> ProfileReport:
     """cProfile a serial, uncached run of ``specs``; return the report.
@@ -119,8 +118,7 @@ def profile_specs(
     prof.enable()
     try:
         for spec in specs:
-            run_experiment(spec, params=params, cache=None,
-                           fast_forward=fast_forward)
+            run_experiment(spec, params=params, cache=None)
     finally:
         prof.disable()
     stats = pstats.Stats(prof)

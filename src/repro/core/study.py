@@ -35,7 +35,6 @@ class StudySpec:
     models: Optional[Tuple[str, ...]] = None
     n_runs: int = 5
     include_power_energy: bool = True
-    fast_forward: bool = True
     #: Inference-runtime backend every planned experiment runs on.
     runtime: str = "hf-transformers"
 
@@ -149,7 +148,6 @@ def run_full_study(
     models = list(spec.models) if spec.models is not None else list(PAPER_MODELS)
     n_runs = spec.n_runs
     include_power_energy = spec.include_power_energy
-    fast_forward = spec.fast_forward
     results = FullStudyResults()
 
     results.table1_footprints = footprint_table(
@@ -166,8 +164,7 @@ def run_full_study(
     log(f"[study] {len(plan)} configurations across {len(models)} model(s), "
         f"jobs={jobs or 1}")
     runs = run_specs([s for _, s in plan], params=params, jobs=jobs,
-                     cache=cache, fast_forward=fast_forward,
-                     observer=observer)
+                     cache=cache, observer=observer)
 
     # Reassemble in plan order: append order within each slot list equals
     # the order the specs were planned, which equals serial sweep order.

@@ -10,7 +10,7 @@ the power sampler.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +30,21 @@ from repro.sim.environment import Environment
 class BatchExecutor:
     """Runs one :class:`BatchRequest` on the simulation.
 
+    A batch runs in two steps.  Its memory is resolved first: the whole
+    allocator op sequence (workspace, KV prefill, one growth per decoded
+    token, release) is applied up front and yields the batch's OOM
+    point, if any.  Then one decode emitter advances simulated time:
+    decode steps are collapsed between scheduled simulation events
+    (power-sampler ticks, end of batch) into one absolute-time timeout
+    per stretch.  Timestamps are accumulated in the same float order as
+    one event per token and scheduled via
+    :meth:`~repro.sim.environment.Environment.timeout_at`, so every
+    observable — latencies, sampler readings, energy, memory peaks — is
+    bit-identical to stepping each token (checked against the per-token
+    oracle in ``tests/engine/_per_token_executor.py``).  Resolving
+    memory ahead of the clock is safe because nothing reads the
+    allocator mid-batch.
+
     Parameters
     ----------
     timer:
@@ -39,21 +54,6 @@ class BatchExecutor:
     kv_mode:
         ``"dynamic"`` (HF DynamicCache, the paper's setup) or
         ``"static"`` (pre-allocated; ablation).
-    fast_forward:
-        If True (default), decode steps are collapsed: instead of one
-        simulated event per generated token, steps are advanced in plain
-        Python up to the next scheduled simulation event (power-sampler
-        tick, end of batch) and a single absolute-time timeout covers
-        the whole stretch.  Timestamps are accumulated in the same float
-        order as the step-by-step path and scheduled via
-        :meth:`~repro.sim.environment.Environment.timeout_at`, so every
-        observable — latencies, sampler readings, energy, memory peaks —
-        is bit-identical to ``fast_forward=False`` (property-tested in
-        ``tests/engine/test_fast_forward.py``).  Disable when another
-        process may interrupt this one mid-batch: fast-forward commits
-        KV/allocator state ahead of the simulated clock within a
-        stretch, which is only safe while no other process can observe
-        or preempt the executor between events.
     eager_score_buffers:
         If True (legacy eager-attention models, i.e. Phi-2), hold
         per-layer full-context score buffers whose footprint grows
@@ -70,7 +70,6 @@ class BatchExecutor:
         kv_mode: str = "dynamic",
         eager_score_buffers: Optional[bool] = None,
         workspace_bytes: int = 0,
-        fast_forward: bool = True,
     ):
         self.timer = timer
         self.allocator = allocator
@@ -80,7 +79,6 @@ class BatchExecutor:
             eager_score_buffers = arch.attention_impl == "eager"
         self.eager_score_buffers = eager_score_buffers
         self.workspace_bytes = int(workspace_bytes)
-        self.fast_forward = fast_forward
         #: Batches served by the memoized-trajectory fast path (tests).
         self.fastpath_batches = 0
 
@@ -88,9 +86,11 @@ class BatchExecutor:
     def _make_kv(self, batch_size: int, gen):
         """KV cache for one batch — the hook runtime backends override.
 
-        The returned object must expose the growth protocol the decode
-        loop drives: ``prefill(n)``, ``append_token()``, ``seq_len``,
-        ``concat_traffic_bytes()`` and ``release()``.
+        The returned object must expose the growth protocol the memory
+        walk drives: ``prefill(n)``, ``append_token()``, ``seq_len`` and
+        ``release()``.  Its ``concat_traffic_bytes()`` must be non-zero
+        only in ``"dynamic"`` KV mode: that is the traffic the decode
+        emitter charges.
         """
         return KVCache(
             self.timer.arch.kv_cache_spec(),
@@ -124,178 +124,109 @@ class BatchExecutor:
 
         On simulated OOM the result is returned with ``oom=True`` (all
         held memory is released first), mirroring a caught
-        ``torch.cuda.OutOfMemoryError``.
+        ``torch.cuda.OutOfMemoryError``: the steps completed before the
+        failing one are timed, an OOM during setup takes no time.
 
         ``obs`` receives one prefill span and one decode span per
-        fast-forward stretch (or per token in step mode), stamped with
-        the same simulated timestamps either path produces — observing
-        a run never perturbs its numbers.
+        stretch, stamped with the simulated timestamps stepping each
+        token would produce — observing a run never perturbs its
+        numbers.
         """
         bs = request.batch_size
         gen = request.gen
         result = BatchResult(request=request, latency_s=0.0, prefill_s=0.0, decode_s=0.0)
         start = env.now
-
-        if self.fast_forward and self._fastpath_eligible():
-            # The whole batch's allocator trajectory is timing-independent:
-            # resolve it (memoized) and apply the end state up front, then
-            # emit the exact same events/timestamps the loop below would.
-            return (yield from self._run_trajectory(
-                env, request, state, result, start, obs, track))
-
-        held: List[Allocation] = []
-        kv = None
-        eager_buf: Optional[Allocation] = None
+        oom = self._resolve_memory(bs, gen)
         try:
-            held.append(
-                self.allocator.alloc(
-                    self.workspace_bytes + self._activation_bytes(bs), tag="workspace"
-                )
-            )
-            kv = self._make_kv(bs, gen)
+            if oom is None or oom[0] != "setup":
+                # ---- prefill ----
+                cost = self.timer.prefill(bs, gen.input_tokens)
+                state.set("prefill", ComponentUtilization.from_step_cost(cost))
+                prefill_start = env.now
+                yield env.timeout(cost.seconds)
+                result.prefill_s = cost.seconds
+                if obs.enabled:
+                    obs.complete(kinds.PREFILL, prefill_start, env.now,
+                                 cat=kinds.CAT_ENGINE, track=track, batch=bs,
+                                 tokens=gen.input_tokens)
 
-            # ---- prefill ----
-            kv.prefill(gen.input_tokens)
-            if self.eager_score_buffers:
-                eager_buf = self.allocator.alloc(
-                    self._eager_bytes(bs, gen.input_tokens), tag="eager-scores"
-                )
-            cost = self.timer.prefill(bs, gen.input_tokens)
-            state.set("prefill", ComponentUtilization.from_step_cost(cost))
-            prefill_start = env.now
-            yield env.timeout(cost.seconds)
-            result.prefill_s = cost.seconds
-            if obs.enabled:
-                obs.complete(kinds.PREFILL, prefill_start, env.now,
-                             cat=kinds.CAT_ENGINE, track=track, batch=bs,
-                             tokens=gen.input_tokens)
-
-            # ---- decode ----
-            if self.fast_forward:
-                # Collapse decode steps between scheduled events: advance
-                # KV/allocator state and accumulate step times in plain
-                # Python, then yield one absolute-time timeout per
-                # stretch.  The stretch ends at the step whose interval
-                # contains the next heap event (a power-sampler tick), so
-                # the sampler always reads the utilization of the step in
-                # progress at its tick — exactly as step-by-step would.
-                # Timestamps accumulate left-to-right from env.now, the
-                # same float-addition order the per-token path produces.
-                remaining = gen.output_tokens
-                while remaining:
-                    horizon = env.peek()
-                    t = env.now
-                    stretch_start = env.now
-                    stretch_tokens = remaining
-                    cost = None
-                    pending_oom: Optional[OutOfMemoryError] = None
-                    while remaining:
-                        try:
-                            context = kv.seq_len
-                            concat = kv.concat_traffic_bytes()
-                            kv.append_token()
-                            if self.eager_score_buffers:
-                                assert eager_buf is not None
-                                buf, eager_buf = eager_buf, None
-                                self.allocator.free(buf)
-                                eager_buf = self.allocator.alloc(
-                                    self._eager_bytes(bs, kv.seq_len),
-                                    tag="eager-scores",
-                                )
-                        except OutOfMemoryError as exc:
-                            # Surface the OOM only after simulated time
-                            # has caught up with the completed steps, so
-                            # the recorded latency matches step-by-step.
-                            pending_oom = exc
-                            break
-                        cost = self.timer.decode_step(bs, context,
-                                                      concat_bytes=concat)
-                        t = t + cost.seconds
-                        result.step_seconds.append(cost.seconds)
-                        remaining -= 1
-                        if t >= horizon:
-                            break
-                    if cost is not None:
-                        state.set("decode",
-                                  ComponentUtilization.from_step_cost(cost))
-                        yield env.timeout_at(t)
-                        if obs.enabled:
-                            # One span per fast-forward stretch: same
-                            # endpoints the per-token path would span,
-                            # so traces stay bit-identical in content.
-                            obs.complete(
-                                kinds.DECODE, stretch_start, env.now,
-                                cat=kinds.CAT_ENGINE, track=track, batch=bs,
-                                tokens=stretch_tokens - remaining,
-                            )
-                    if pending_oom is not None:
-                        raise pending_oom
+                # ---- decode ----
+                n_timed = oom[1] if oom is not None else gen.output_tokens
+                yield from self._decode(env, bs, gen.input_tokens, n_timed,
+                                        state, result, obs, track)
+            if oom is not None:
+                result.oom = True
             else:
-                for _ in range(gen.output_tokens):
-                    context = kv.seq_len
-                    concat = kv.concat_traffic_bytes()
-                    kv.append_token()
-                    if self.eager_score_buffers:
-                        assert eager_buf is not None
-                        # Free-then-alloc: the runtime reuses the buffer in
-                        # place when it can; only the footprint grows.  Clear
-                        # the reference first so an OOM here cannot cause a
-                        # double free in the cleanup path.
-                        buf, eager_buf = eager_buf, None
-                        self.allocator.free(buf)
-                        eager_buf = self.allocator.alloc(
-                            self._eager_bytes(bs, kv.seq_len), tag="eager-scores"
-                        )
-                    cost = self.timer.decode_step(bs, context, concat_bytes=concat)
-                    state.set("decode",
-                              ComponentUtilization.from_step_cost(cost))
-                    step_start = env.now
-                    yield env.timeout(cost.seconds)
-                    result.step_seconds.append(cost.seconds)
-                    if obs.enabled:
-                        obs.complete(kinds.DECODE, step_start, env.now,
-                                     cat=kinds.CAT_ENGINE, track=track,
-                                     batch=bs, tokens=1)
-            result.decode_s = sum(result.step_seconds)
+                result.decode_s = sum(result.step_seconds)
             result.latency_s = env.now - start
-        except OutOfMemoryError:
-            result.oom = True
-            result.latency_s = env.now - start
+            return result
         finally:
             state.set_idle()
-            if eager_buf is not None:
-                self.allocator.free(eager_buf)
-            if kv is not None:
-                kv.release()
-            for h in held:
-                self.allocator.free(h)
-        return result
 
-    # -- memoized-trajectory fast path --------------------------------------
+    def _decode(self, env, bs, ctx_start, n_steps, state, result, obs,
+                track):
+        """Emit ``n_steps`` decode steps, one timeout per stretch.
+
+        Step costs come from the vectorized
+        :meth:`~repro.engine.kernels.StepTimer.decode_run`, with
+        timestamps accumulated left to right from ``env.now``
+        (``np.cumsum`` is bit-identical to the sequential left fold).  A
+        stretch ends at the step whose interval contains the next
+        scheduled event (a power-sampler tick), so the sampler always
+        reads the utilization of the step in progress at its tick.
+        """
+        if not n_steps:
+            return
+        concat_coef = (self.timer.arch.kv_cache_spec().bytes_total(bs, 1)
+                       if self.kv_mode == "dynamic" else 0)
+        run = self.timer.decode_run(bs, ctx_start, n_steps, concat_coef)
+        sec = run.seconds
+        ts = np.cumsum(np.concatenate(
+            ((env.now,), np.asarray(sec, dtype=np.float64))))[1:]
+        i = 0
+        while i < n_steps:
+            horizon = env.peek()
+            stretch_start = env.now
+            # First step whose completion time reaches the next scheduled
+            # event ends the stretch (inclusive).
+            end = int(np.searchsorted(ts, horizon, side="left")) + 1
+            end = min(max(end, i + 1), n_steps)
+            result.step_seconds.extend(sec[i:end])
+            last = end - 1
+            state.set("decode", ComponentUtilization(
+                gpu_compute=run.gpu_compute_frac[last],
+                gpu_busy=run.gpu_busy_frac[last],
+                mem_bw=run.mem_bw_frac[last],
+                cpu_cores_active=run.cpu_cores_active[last],
+            ))
+            yield env.timeout_at(float(ts[last]))
+            if obs.enabled:
+                obs.complete(kinds.DECODE, stretch_start, env.now,
+                             cat=kinds.CAT_ENGINE, track=track,
+                             batch=bs, tokens=end - i)
+            i = end
+
+    # -- the memory step ------------------------------------------------------
     def _fastpath_eligible(self) -> bool:
-        """The trajectory replay assumes the stock KV growth protocol on
-        the stock allocator; backends that override either (e.g. the
-        paged executor's block pool) keep the generic loop above."""
+        """The memoized trajectory replay assumes the stock KV growth
+        protocol on the stock allocator; backends that override either
+        (e.g. the paged executor's block pool) walk the real allocator."""
         return (
             type(self)._make_kv is BatchExecutor._make_kv
             and type(self.allocator) is CachingAllocator
             and self.kv_mode in ("dynamic", "static")
         )
 
-    def _run_trajectory(self, env, request, state, result, start, obs,
-                        track):
-        """Fast-forward one batch via a memoized allocator trajectory.
+    def _resolve_memory(self, bs: int, gen) -> Optional[Tuple[str, int]]:
+        """Apply the batch's whole allocator op sequence up front.
 
-        Identical observables to the generic loop in :meth:`run`: the
-        allocator ends in the same state (same segments, stats and
-        peaks, via :class:`~repro.memsys.fastpath.TrajectoryDelta`), and
-        timing/spans/utilization are emitted from the vectorized
-        :meth:`~repro.engine.kernels.StepTimer.decode_run` with
-        timestamps accumulated in the same float order (``np.cumsum`` is
-        bit-identical to the sequential left fold).
+        Returns ``None`` for a clean batch, ``("setup", 0)`` when the
+        workspace/KV-prefill/eager setup fails, or ``("decode", j)`` when
+        token ``j`` (0-based) fails — the
+        :attr:`~repro.memsys.fastpath.TrajectoryDelta.oom` marker.
         """
-        bs = request.batch_size
-        gen = request.gen
+        if not self._fastpath_eligible():
+            return self._walk_memory(bs, gen)
         kv_spec = self.timer.arch.kv_cache_spec()
         static = self.kv_mode == "static"
         n_out = gen.output_tokens
@@ -321,66 +252,47 @@ class BatchExecutor:
         delta = TRAJECTORY_CACHE.delta_for(self.allocator, stream)
         apply_delta(self.allocator, delta)
         self.fastpath_batches += 1
+        return delta.oom
+
+    def _walk_memory(self, bs: int, gen) -> Optional[Tuple[str, int]]:
+        """Drive the real allocator through the batch's op sequence:
+        workspace, KV prefill (and eager scores), one ``append_token``
+        per decoded token, then release in ``finally`` order."""
+        held: List[Allocation] = []
+        kv = None
+        eager_buf: Optional[Allocation] = None
+        step = None
         try:
-            if delta.oom is not None and delta.oom[0] == "setup":
-                # The generic path raises before its first yield; no
-                # prefill span, zero elapsed time.
-                result.oom = True
-                result.latency_s = env.now - start
-                return result
-
-            # ---- prefill ----
-            cost = self.timer.prefill(bs, gen.input_tokens)
-            state.set("prefill", ComponentUtilization.from_step_cost(cost))
-            prefill_start = env.now
-            yield env.timeout(cost.seconds)
-            result.prefill_s = cost.seconds
-            if obs.enabled:
-                obs.complete(kinds.PREFILL, prefill_start, env.now,
-                             cat=kinds.CAT_ENGINE, track=track, batch=bs,
-                             tokens=gen.input_tokens)
-
-            # ---- decode ----
-            n_timed = delta.oom[1] if delta.oom is not None else n_out
-            if n_timed:
-                concat_coef = 0 if static else kv_spec.bytes_total(bs, 1)
-                run = self.timer.decode_run(bs, gen.input_tokens, n_timed,
-                                            concat_coef)
-                sec = run.seconds
-                ts = np.cumsum(np.concatenate(
-                    ((env.now,), np.asarray(sec, dtype=np.float64))))[1:]
-                i = 0
-                while i < n_timed:
-                    horizon = env.peek()
-                    stretch_start = env.now
-                    # First step whose completion time reaches the next
-                    # scheduled event ends the stretch (inclusive) —
-                    # the `t >= horizon` break of the generic loop.
-                    end = int(np.searchsorted(ts, horizon, side="left")) + 1
-                    if end <= i:
-                        end = i + 1
-                    if end > n_timed:
-                        end = n_timed
-                    result.step_seconds.extend(sec[i:end])
-                    last = end - 1
-                    state.set("decode", ComponentUtilization(
-                        gpu_compute=run.gpu_compute_frac[last],
-                        gpu_busy=run.gpu_busy_frac[last],
-                        mem_bw=run.mem_bw_frac[last],
-                        cpu_cores_active=run.cpu_cores_active[last],
-                    ))
-                    yield env.timeout_at(float(ts[last]))
-                    if obs.enabled:
-                        obs.complete(kinds.DECODE, stretch_start, env.now,
-                                     cat=kinds.CAT_ENGINE, track=track,
-                                     batch=bs, tokens=end - i)
-                    i = end
-            if delta.oom is not None:
-                result.oom = True
-                result.latency_s = env.now - start
-                return result
-            result.decode_s = sum(result.step_seconds)
-            result.latency_s = env.now - start
-            return result
+            held.append(
+                self.allocator.alloc(
+                    self.workspace_bytes + self._activation_bytes(bs), tag="workspace"
+                )
+            )
+            kv = self._make_kv(bs, gen)
+            kv.prefill(gen.input_tokens)
+            if self.eager_score_buffers:
+                eager_buf = self.allocator.alloc(
+                    self._eager_bytes(bs, gen.input_tokens), tag="eager-scores"
+                )
+            for step in range(gen.output_tokens):
+                kv.append_token()
+                if self.eager_score_buffers:
+                    # Free-then-alloc: the runtime reuses the buffer in
+                    # place when it can; only the footprint grows.  Clear
+                    # the reference first so an OOM here cannot cause a
+                    # double free in the cleanup path.
+                    buf, eager_buf = eager_buf, None
+                    self.allocator.free(buf)
+                    eager_buf = self.allocator.alloc(
+                        self._eager_bytes(bs, kv.seq_len), tag="eager-scores"
+                    )
+        except OutOfMemoryError:
+            return ("setup", 0) if step is None else ("decode", step)
         finally:
-            state.set_idle()
+            if eager_buf is not None:
+                self.allocator.free(eager_buf)
+            if kv is not None:
+                kv.release()
+            for h in held:
+                self.allocator.free(h)
+        return None

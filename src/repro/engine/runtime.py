@@ -114,7 +114,6 @@ class ServingEngine:
         params: Optional[EngineCostParams] = None,
         power_model: Optional[PowerModel] = None,
         sample_period_s: float = 2.0,
-        fast_forward: bool = True,
         observer: Optional[Observer] = None,
         backend=None,
     ):
@@ -133,7 +132,6 @@ class ServingEngine:
         self.kv_mode = getattr(self.backend, "kv_mode", None)
         self.power_model = power_model or PowerModel()
         self.sample_period_s = sample_period_s
-        self.fast_forward = fast_forward
 
         # GC tuning mirrors a caching allocator under moderate pressure:
         # the fraction threshold bounds churn relative to live tensors,
@@ -185,7 +183,6 @@ class ServingEngine:
             self.arch,
             self.precision,
             batch_size,
-            fast_forward=self.fast_forward,
         )
 
         env = Environment()

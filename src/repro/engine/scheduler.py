@@ -34,7 +34,6 @@ from repro.engine.kernels import EngineCostParams, StepTimer
 from repro.errors import ExperimentError, OutOfMemoryError
 from repro.hardware.device import EdgeDevice
 from repro.models.architecture import TransformerArchitecture
-from repro.models.footprint import weight_bytes
 from repro.quant.dtypes import Precision
 from repro.sim.environment import Environment
 from repro.sim.resources import Store
@@ -174,11 +173,11 @@ class _SchedulerBase:
         self.max_batch = max_batch
         self.params = params
         if kv_budget_bytes is None:
-            kv_budget_bytes = int(
-                device.memory.usable_bytes
-                - weight_bytes(arch, precision)
-                - 1e9  # workspace
-            )
+            from repro.backends import get_backend
+            from repro.cluster.node import natural_kv_budget
+
+            kv_budget_bytes = natural_kv_budget(
+                device, get_backend("hf-transformers"), arch, precision)
         if kv_budget_bytes <= 0:
             raise ExperimentError("model leaves no KV budget on this device")
         self.kv_budget = kv_budget_bytes

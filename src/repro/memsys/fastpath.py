@@ -35,8 +35,8 @@ free) segments, counter/watermark updates — precisely what
 :class:`TrajectoryDelta` records and :func:`apply_delta` applies.
 
 Bit-exactness is property-tested differentially against the real
-allocator in ``tests/memsys/test_fastpath.py`` and end-to-end in
-``tests/engine/test_fast_forward.py``.
+allocator in ``tests/memsys/test_fastpath.py`` and end-to-end against
+the per-token oracle ``tests/engine/_per_token_executor.py``.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def state_fingerprint(allocator: CachingAllocator) -> tuple:
 class StreamSpec:
     """The allocator-visible operation stream of one executor batch.
 
-    Mirrors :meth:`~repro.engine.executor.BatchExecutor.run` exactly:
+    Mirrors :meth:`~repro.engine.executor.BatchExecutor._walk_memory`:
     workspace+activation alloc, ``2 * n_layers`` KV prefill allocs, an
     optional eager-score buffer, then per decoded token the in-place
     ``realloc_grow`` of every KV tensor (dynamic mode) followed by the
@@ -403,7 +403,7 @@ def simulate_stream(mirror: AllocatorMirror,
                     stream: StreamSpec) -> Optional[Tuple[str, int]]:
     """Run one batch's op stream on a mirror; returns the OOM marker.
 
-    Replays :meth:`BatchExecutor.run` exactly, including the partial
+    Replays :meth:`BatchExecutor._walk_memory` exactly, including the partial
     states an OOM leaves behind (a mid-``append_token`` failure keeps
     the not-yet-grown handles; cleanup frees whatever is live, in the
     executor's ``finally`` order).

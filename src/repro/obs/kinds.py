@@ -22,8 +22,8 @@ REQUEST = "request"
 QUEUE = "queue"
 #: Prompt processing (the TTFT phase).
 PREFILL = "prefill"
-#: Token generation.  In fast-forward mode one span covers a whole
-#: inter-event stretch of decode steps; step mode emits one per step.
+#: Token generation.  One span covers a whole inter-event stretch of
+#: decode steps.
 DECODE = "decode"
 #: One warm-up or measured batch of the single-device protocol.
 BATCH = "batch"

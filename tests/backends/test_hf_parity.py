@@ -7,10 +7,14 @@ checkpoint loading, the calibrated PyTorch workspace formula, a plain
 Driving the engine once with it and once with the stock
 ``hf-transformers`` backend must produce *identical* floats (no
 tolerance) across the precision × power-mode × kv-mode grid, including
-the OOM boundaries and the fast-forward/stepped split.
+the OOM boundaries and stepped decode under the per-token oracle
+(``tests/engine/_per_token_executor.py``).
 """
 
+import contextlib
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,9 @@ from repro.hardware import get_device
 from repro.models import get_model
 from repro.power.modes import get_power_mode
 from repro.quant.dtypes import Precision
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "engine"))
+from _per_token_executor import per_token_executors  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -71,14 +78,12 @@ class LegacyReplicaBackend(RuntimeBackend):
             extra_gb = coeff * arch.n_params_billions * (batch_size**0.4 - 1.0)
         return int((RUNTIME_WORKSPACE_GB + extra_gb) * 1e9)
 
-    def make_executor(self, timer, allocator, arch, precision, batch_size,
-                      fast_forward=True):
+    def make_executor(self, timer, allocator, arch, precision, batch_size):
         return BatchExecutor(
             timer,
             allocator,
             kv_mode=self.kv_mode,
             workspace_bytes=self.workspace_bytes(arch, precision, batch_size),
-            fast_forward=fast_forward,
         )
 
     def decode_concat_bytes(self, live_kv_bytes):
@@ -86,13 +91,13 @@ class LegacyReplicaBackend(RuntimeBackend):
 
 
 def _run(backend, model="phi2", precision=Precision.FP16, batch_size=8,
-         gen=GenerationSpec(32, 64), power_mode="MAXN", fast_forward=True,
+         gen=GenerationSpec(32, 64), power_mode="MAXN", per_token=False,
          n_runs=2):
     engine = ServingEngine(get_device("jetson-orin-agx-64gb"),
-                           get_model(model), precision, backend=backend,
-                           fast_forward=fast_forward)
-    return engine.run(batch_size=batch_size, gen=gen, n_runs=n_runs,
-                      warmup=1, power_mode=get_power_mode(power_mode))
+                           get_model(model), precision, backend=backend)
+    with per_token_executors() if per_token else contextlib.nullcontext():
+        return engine.run(batch_size=batch_size, gen=gen, n_runs=n_runs,
+                          warmup=1, power_mode=get_power_mode(power_mode))
 
 
 def assert_identical(a, b):
@@ -131,10 +136,10 @@ class TestBitIdenticalGrid:
         assert_identical(new, old)
 
     def test_stepped_decode(self):
-        new = _run(get_backend("hf-transformers"), fast_forward=False)
-        old = _run(LegacyReplicaBackend(), fast_forward=False)
+        new = _run(get_backend("hf-transformers"), per_token=True)
+        old = _run(LegacyReplicaBackend(), per_token=True)
         assert_identical(new, old)
-        # Fast-forward itself is bit-identical to stepping (pre-existing
+        # The executor itself is bit-identical to stepping (pre-existing
         # invariant, re-pinned here through the backend path).
         assert_identical(new, _run(get_backend("hf-transformers")))
 

@@ -1,21 +1,26 @@
 """Decode fast-forward must be observationally invisible.
 
-The fast path collapses per-token decode events into one absolute-time
-timeout per inter-event stretch.  Its contract is *bit-identical*
-results: every latency, per-step duration, power sample, energy
-integral, and memory milestone must match the step-by-step execution —
-not approximately, exactly, because timestamps are accumulated in the
-same float-addition order and scheduled at absolute times.
+The executor resolves a batch's memory up front and collapses its
+decode steps into one absolute-time timeout per inter-event stretch.
+Its contract is *bit-identical* results against the per-token oracle
+(:mod:`_per_token_executor`): every latency, per-step duration, power
+sample, energy integral, and memory milestone must match the
+step-by-step execution — not approximately, exactly, because timestamps
+are accumulated in the same float-addition order and scheduled at
+absolute times.
 
-The suite runs both paths across precisions, power modes, batch sizes,
-generation lengths, sampler-period edge cases, and an OOM
-configuration, and also asserts serial == parallel for the process
+The suite runs both across precisions, power modes, batch sizes,
+generation lengths, sampler-period edge cases, runtimes and OOM
+configurations, and also asserts serial == parallel for the process
 fan-out of :mod:`repro.core.parallel`.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
+from _per_token_executor import PerTokenExecutor, per_token_executors
 
 from repro.core.experiment import ExperimentSpec, run_experiment
 from repro.core.parallel import run_specs
@@ -27,15 +32,25 @@ from repro.power.modes import get_power_mode
 from repro.quant.dtypes import Precision
 
 
-def _run(fast_forward: bool, *, model="MS-Phi2", precision=Precision.FP16,
+def _oracle(per_token: bool):
+    return per_token_executors() if per_token else contextlib.nullcontext()
+
+
+def _run(per_token: bool, *, model="MS-Phi2", precision=Precision.FP16,
          batch_size=4, gen=GenerationSpec(16, 48), power_mode="MAXN",
-         n_runs=2, sample_period_s=2.0) -> RunResult:
+         n_runs=2, sample_period_s=2.0, runtime=None) -> RunResult:
     engine = ServingEngine(
         get_device("jetson-orin-agx-64gb"), get_model(model), precision,
-        sample_period_s=sample_period_s, fast_forward=fast_forward,
+        sample_period_s=sample_period_s, backend=runtime,
     )
-    return engine.run(batch_size=batch_size, gen=gen, n_runs=n_runs,
-                      power_mode=get_power_mode(power_mode))
+    with _oracle(per_token):
+        return engine.run(batch_size=batch_size, gen=gen, n_runs=n_runs,
+                          power_mode=get_power_mode(power_mode))
+
+
+def _run_spec(per_token: bool, spec: ExperimentSpec) -> RunResult:
+    with _oracle(per_token):
+        return run_experiment(spec)
 
 
 def assert_identical(a: RunResult, b: RunResult) -> None:
@@ -72,13 +87,17 @@ CONFIGS = [
     pytest.param({"sample_period_s": 0.013}, id="dense-sampler"),
     pytest.param({"sample_period_s": 0.0503, "gen": GenerationSpec(8, 96)},
                  id="odd-sampler"),
+    # The paged runtime walks its block pool instead of replaying a
+    # memoized trajectory; dense ticks cut its decode into many stretches.
+    pytest.param({"runtime": "paged", "sample_period_s": 0.013},
+                 id="paged-dense-sampler"),
 ]
 
 
 @pytest.mark.parametrize("overrides", CONFIGS)
 def test_fast_forward_is_bit_identical(overrides):
-    slow = _run(False, **overrides)
-    fast = _run(True, **overrides)
+    slow = _run(True, **overrides)
+    fast = _run(False, **overrides)
     assert_identical(slow, fast)
 
 
@@ -86,8 +105,8 @@ def test_fast_forward_identical_under_oom():
     # Phi-2's eager score buffers blow up with context: bs=32 at
     # sl=1024 OOMs mid-decode on the 64 GB board (the paper's OOM cell).
     over = dict(model="MS-Phi2", batch_size=32, gen=GenerationSpec(256, 768))
-    slow = _run(False, **over)
-    fast = _run(True, **over)
+    slow = _run(True, **over)
+    fast = _run(False, **over)
     assert slow.oom, "expected this configuration to OOM"
     assert_identical(slow, fast)
 
@@ -101,12 +120,12 @@ def test_fast_forward_runs_fewer_events():
     from repro.engine.request import BatchRequest
     from repro.sim.environment import Environment
 
-    def count_yields(fast_forward):
+    def count_yields(per_token):
         env = Environment()
         timer = StepTimer(get_model("Llama3"),
                           get_device("jetson-orin-agx-64gb"), Precision.FP16)
-        ex = BatchExecutor(timer, CachingAllocator(int(60e9)),
-                           fast_forward=fast_forward)
+        cls = PerTokenExecutor if per_token else BatchExecutor
+        ex = cls(timer, CachingAllocator(int(60e9)))
         gen = ex.run(env, BatchRequest(batch_size=2, gen=GenerationSpec(8, 64)),
                      EngineState())
         n = 0
@@ -120,7 +139,7 @@ def test_fast_forward_runs_fewer_events():
             pass
         return n
 
-    slow, fast = count_yields(False), count_yields(True)
+    slow, fast = count_yields(True), count_yields(False)
     assert slow == 1 + 64  # prefill + one event per decode step
     # No sampler in this env, so the whole decode collapses to one event.
     assert fast == 2
@@ -134,27 +153,29 @@ SPEC_CONFIGS = [
                  id="gguf-int4"),
     pytest.param({"runtime": "paged"}, id="paged"),
     pytest.param({"runtime": "paged", "power_mode": "E"}, id="paged-mode-E"),
+    # The block pool runs dry mid-decode: OOM after 96 decode steps.
+    pytest.param({"model": "Mistral-Base", "runtime": "paged",
+                  "batch_size": 128, "gen": GenerationSpec(512, 1024)},
+                 id="paged-oom"),
 ]
 
 
 @pytest.mark.parametrize("overrides", SPEC_CONFIGS)
 def test_fast_forward_identical_across_runtimes_and_kv_modes(overrides):
-    """The fastpath only engages where it is provably exact (hf dynamic/
-    static KV on the caching allocator); every other backend must fall
-    back to the generic path — and all of them must stay bit-identical
-    to per-token stepping."""
+    """The trajectory replay only engages where it is provably exact (hf
+    dynamic/static KV on the caching allocator); every other backend
+    walks the real allocator — and all of them feed the one decode
+    emitter and stay bit-identical to per-token stepping."""
     kwargs = dict(model="Llama3", batch_size=4, n_runs=2)
     kwargs.update(overrides)
     spec = ExperimentSpec(**kwargs)
-    assert_identical(run_experiment(spec, fast_forward=False),
-                     run_experiment(spec, fast_forward=True))
+    assert_identical(_run_spec(True, spec), _run_spec(False, spec))
 
 
 def test_run_experiment_fast_forward_flag_matches():
     spec = ExperimentSpec(model="Mistral-Base", precision=Precision.INT4,
                           batch_size=8, n_runs=2)
-    assert_identical(run_experiment(spec, fast_forward=False),
-                     run_experiment(spec, fast_forward=True))
+    assert_identical(_run_spec(True, spec), _run_spec(False, spec))
 
 
 def test_serial_vs_parallel_study_identical():
@@ -178,7 +199,7 @@ def test_mixed_grid_serial_parallel_vectorized_identical():
     """Acceptance grid: backends x precision x power mode, OOM included.
 
     Three executions of one mixed spec list must agree row-for-row:
-    per-token stepping (the ground truth), the serial fast-forward path
+    per-token stepping (the ground truth), the serial executor
     (vectorized decode + trajectory replay), and the process fan-out.
     """
     specs = [
@@ -195,7 +216,7 @@ def test_mixed_grid_serial_parallel_vectorized_identical():
         ExperimentSpec(model="MS-Phi2", batch_size=32,
                        gen=GenerationSpec(256, 768), n_runs=1),
     ]
-    baseline = [run_experiment(s, fast_forward=False) for s in specs]
+    baseline = [_run_spec(True, s) for s in specs]
     assert any(r.oom for r in baseline), "grid must include the OOM cell"
     serial = run_specs(specs, jobs=1)
     parallel = run_specs(specs, jobs=2)
@@ -206,7 +227,7 @@ def test_mixed_grid_serial_parallel_vectorized_identical():
 
 
 def test_fastpath_engages_and_matches_allocator_end_state():
-    """fast_forward=True must actually take the trajectory fastpath (not
+    """The stock executor must actually take the trajectory fastpath (not
     silently fall back), and leave the allocator in the *exact* state
     per-token stepping leaves it in."""
     from repro.engine.executor import BatchExecutor
@@ -217,12 +238,12 @@ def test_fastpath_engages_and_matches_allocator_end_state():
     from repro.memsys.fastpath import state_fingerprint
     from repro.sim.environment import Environment
 
-    def drive(fast_forward):
+    def drive(per_token):
         env = Environment()
         timer = StepTimer(get_model("Llama3"),
                           get_device("jetson-orin-agx-64gb"), Precision.FP16)
         alloc = CachingAllocator(int(60e9))
-        ex = BatchExecutor(timer, alloc, fast_forward=fast_forward)
+        ex = (PerTokenExecutor if per_token else BatchExecutor)(timer, alloc)
         gen = ex.run(env, BatchRequest(batch_size=2,
                                        gen=GenerationSpec(8, 32)),
                      EngineState())
@@ -235,8 +256,8 @@ def test_fastpath_engages_and_matches_allocator_end_state():
             pass
         return ex, alloc
 
-    slow_ex, slow_alloc = drive(False)
-    fast_ex, fast_alloc = drive(True)
+    slow_ex, slow_alloc = drive(True)
+    fast_ex, fast_alloc = drive(False)
     assert slow_ex.fastpath_batches == 0
     assert fast_ex.fastpath_batches == 1
     assert state_fingerprint(fast_alloc) == state_fingerprint(slow_alloc)
