@@ -34,7 +34,9 @@ from repro.quant.dtypes import Precision
 class _PagedBatchKV:
     """Adapter driving a :class:`PagedKVCache` with the executor's
     contiguous-cache growth protocol (``prefill`` / ``append_token`` /
-    ``concat_traffic_bytes`` / ``release``).
+    ``release``; ``concat_traffic_bytes`` is always 0 and serves only
+    the per-token reference loop, since the executor charges concat
+    traffic from ``kv_mode``).
 
     The pool is reserved at construction from whatever the allocator has
     left (times ``pool_utilization``, vLLM's ``gpu_memory_utilization``

@@ -608,7 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--model", default="llama")
     clu.add_argument("--precision", default="fp16")
     clu.add_argument("--policy", default="jsq",
-                     help="round-robin|jsq|least-kv|energy-aware|splitwise")
+                     help="routing policy: round-robin, jsq, least-kv, "
+                          "energy-aware, carbon-aware, prefix-affinity or "
+                          "splitwise")
     clu.add_argument("--trace", default="poisson",
                      choices=["poisson", "bursty", "diurnal", "multi-tenant"])
     clu.add_argument("--rate", type=float, default=2.0,

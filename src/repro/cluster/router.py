@@ -23,8 +23,8 @@ Policies
   recomputing it.
 - :class:`SplitwiseRouter` — prefill/decode disaggregation: prompts go
   to compute-strong prefill nodes, decode to the rest, with the KV
-  handed over across a link (see :mod:`repro.engine.splitwise` for the
-  two-device steady-state analysis this generalises).
+  handed over across a link (``examples/edge_cloud_splitting.py`` runs
+  it as an edge↔cloud A100 + Orin pair).
 """
 
 from __future__ import annotations

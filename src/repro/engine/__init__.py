@@ -25,16 +25,12 @@ from repro.engine.scheduler import (
     ServingReport,
     StaticBatchScheduler,
 )
-from repro.engine.splitwise import SplitServingResult, simulate_phase_split
-from repro.engine.sustained import SustainedSample, run_sustained
 
 __all__ = [
     "ContinuousBatchScheduler",
     "ServeRequest",
     "ServingReport",
-    "SplitServingResult",
     "StaticBatchScheduler",
-    "simulate_phase_split",
     "BatchRequest",
     "BatchResult",
     "EngineCostParams",
@@ -44,6 +40,4 @@ __all__ = [
     "ServingEngine",
     "StepCost",
     "StepTimer",
-    "SustainedSample",
-    "run_sustained",
 ]

@@ -88,9 +88,9 @@ class BatchExecutor:
 
         The returned object must expose the growth protocol the memory
         walk drives: ``prefill(n)``, ``append_token()``, ``seq_len`` and
-        ``release()``.  Its ``concat_traffic_bytes()`` must be non-zero
-        only in ``"dynamic"`` KV mode: that is the traffic the decode
-        emitter charges.
+        ``release()``.  The decode emitter does not ask it for concat
+        traffic: it charges the ``torch.cat`` copy from ``kv_mode``, and
+        only ``"dynamic"`` pays it.
         """
         return KVCache(
             self.timer.arch.kv_cache_spec(),

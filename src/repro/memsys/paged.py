@@ -168,10 +168,6 @@ class PagedKVCache:
             return 0.0
         return 1.0 - self.live_bytes / used_bytes
 
-    def concat_traffic_bytes(self) -> int:
-        """Paged caches never copy on growth."""
-        return 0
-
     def release_pool(self) -> None:
         """Return the reservation to the device allocator."""
         if self._tables:

@@ -3,8 +3,8 @@
 All three are pure functions of the :class:`~repro.obs.span.Observer`
 contents — no wall clock, no environment lookups, stable ordering and
 stable float rendering — so exporting the same seeded run twice yields
-byte-identical files (asserted by ``tests/obs`` and the CI obs-smoke
-job).
+byte-identical files (asserted by ``tests/obs`` and the ``obs`` entry
+of the CI cluster-smoke job).
 
 The Chrome format targets ``chrome://tracing`` / Perfetto: span groups
 become processes, tracks become named threads, spans are complete

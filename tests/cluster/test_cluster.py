@@ -131,6 +131,29 @@ class TestReports:
         assert all(n.prefilled_tokens == 0 for n in decode)
         assert sum(n.prefilled_tokens for n in prefill) == rep.completed * 16
 
+    def test_splitwise_offload_pays_on_long_prompts(self):
+        """Edge↔cloud phase split: an A100 prefilling 2048-token prompts
+        for an Orin decoder beats the Orin alone on p50 TTFT, and a
+        slower KV link costs TTFT.  With 16-token prompts the Orin alone
+        keeps up, so the split adds under 10% throughput."""
+        orin = NodeSpec("jetson-orin-agx-64gb", max_batch=32)
+        alone = FleetSpec.of([orin], model="llama")
+
+        def split(gbe):
+            return FleetSpec.of([NodeSpec("a100-sxm-80gb", max_batch=32),
+                                 orin], model="llama", policy="splitwise",
+                                link_bytes_per_s=gbe * 1e9 / 8)
+
+        def run(fleet, prompt):
+            return EdgeCluster.of(fleet).run(poisson_workload(
+                2.0, 64, input_tokens=prompt, output_tokens=64, seed=0))
+
+        ttfts = [run(split(gbe), 2048).p50_ttft_s for gbe in (100, 10, 1)]
+        assert ttfts == sorted(ttfts) and ttfts[0] < ttfts[-1], ttfts
+        assert ttfts[-1] < run(alone, 2048).p50_ttft_s
+        assert (run(split(10), 16).throughput_tok_s
+                < 1.1 * run(alone, 16).throughput_tok_s)
+
     def test_slo_attainment_depends_on_deadline(self):
         _, strict = serve("jsq", slo=SLOSpec(ttft_s=0.001, tpot_s=None))
         _, loose = serve("jsq", slo=SLOSpec(ttft_s=1e6, tpot_s=None))

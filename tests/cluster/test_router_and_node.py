@@ -151,6 +151,8 @@ class TestSplitwise:
         short = router.transfer_seconds(req(0, inp=64), nodes[0])
         long = router.transfer_seconds(req(1, inp=512), nodes[0])
         assert long == pytest.approx(8 * short)
+        with pytest.raises(ConfigError):
+            get_router("splitwise", link_bytes_per_s=0)
 
     def test_needs_two_nodes(self):
         env = Environment()

@@ -1,63 +1,55 @@
-"""Sustained serving with thermal feedback."""
+"""Sustained serving with thermal feedback: a ten-minute session in a
+warm enclosure on one cluster node kept at a full 32-slot batch."""
 
-import pytest
-
-from repro.engine.request import GenerationSpec
-from repro.engine.sustained import run_sustained
-from repro.errors import ExperimentError
+from repro.cluster import ClusterRequest
+from repro.cluster.node import ClusterNode
 from repro.hardware import get_device
 from repro.hardware.thermal import ThermalModel
 from repro.models import get_model
-from repro.power.modes import apply_power_mode, get_power_mode
 from repro.quant.dtypes import Precision
+from repro.sim.environment import Environment
 
-GEN = GenerationSpec(16, 32)
+SESSION_S = 600.0
 
 
-def hot_thermal():
+def hot_thermal(throttle_freq_ratio=0.5):
     # Aggressive thermals so the effect shows within a short session.
     return ThermalModel(ambient_c=45.0, r_thermal_c_per_w=1.6, tau_s=30.0,
                         throttle_temp_c=85.0, resume_temp_c=80.0,
-                        throttle_freq_ratio=0.5)
+                        throttle_freq_ratio=throttle_freq_ratio)
 
 
-def test_temperature_rises_and_throttles_at_maxn(orin):
-    samples = run_sustained(orin, get_model("mistral"), Precision.FP16,
-                            duration_s=600.0, batch_size=32, gen=GEN,
-                            thermal=hot_thermal())
-    temps = [s.temp_c for s in samples]
-    assert temps[-1] > temps[0]
-    assert any(s.throttled for s in samples)
-    # Throughput degrades once throttled.
-    first = samples[0].throughput_tok_s
-    throttled_tp = min(s.throughput_tok_s for s in samples if s.throttled)
-    assert throttled_tp < 0.9 * first
+def run_session(mode, thermal):
+    """Mistral FP16 on an Orin AGX 64GB, backlogged for the whole session."""
+    env = Environment()
+    node = ClusterNode(env, 0, get_device("jetson-orin-agx-64gb"),
+                       get_model("mistral"), Precision.FP16, power_mode=mode,
+                       max_batch=32, max_queue=1024, thermal=thermal)
+    for i in range(1024):
+        node.submit(ClusterRequest(req_id=i, arrival_s=0.0,
+                                   input_tokens=16, output_tokens=32))
+    env.run(until=SESSION_S)
+    assert node.queue, "the batch ran dry before the session ended"
+    return node
 
 
-def test_low_power_mode_sustains_without_throttling(orin):
-    apply_power_mode(orin, get_power_mode("B"))
-    samples = run_sustained(orin, get_model("mistral"), Precision.FP16,
-                            duration_s=600.0, batch_size=32, gen=GEN,
-                            thermal=hot_thermal())
-    assert not any(s.throttled for s in samples)
-    tps = [s.throughput_tok_s for s in samples]
-    assert max(tps) - min(tps) < 0.05 * max(tps)
+def test_temperature_rises_and_throttles_at_maxn():
+    node = run_session("MAXN", hot_thermal())
+    assert node.thermal.temp_c > node.thermal.ambient_c + 30.0
+    assert node.throttle_log and node.throttle_log[0][1] is True
+    assert node.thermal.throttled
+    # Throughput degrades once throttled: the same session with a
+    # throttle that leaves the clocks alone serves clearly more.
+    unthrottled = run_session("MAXN", hot_thermal(throttle_freq_ratio=1.0))
+    assert node.served_tokens < 0.9 * unthrottled.served_tokens
 
 
-def test_gpu_clock_restored_after_session(orin):
-    before = orin.gpu.freq_hz
-    run_sustained(orin, get_model("phi2"), Precision.FP16, duration_s=30.0,
-                  batch_size=8, gen=GEN, thermal=hot_thermal())
-    assert orin.gpu.freq_hz == before
-
-
-def test_samples_cover_duration(orin):
-    samples = run_sustained(orin, get_model("phi2"), Precision.FP16,
-                            duration_s=20.0, batch_size=8, gen=GEN)
-    assert samples[-1].t_end_s >= 20.0
-    assert all(s.batch_latency_s > 0 for s in samples)
-
-
-def test_invalid_duration(orin):
-    with pytest.raises(ExperimentError):
-        run_sustained(orin, get_model("phi2"), Precision.FP16, duration_s=0)
+def test_low_power_mode_sustains_without_throttling():
+    node = run_session("B", hot_thermal())
+    assert node.thermal.temp_c < node.thermal.throttle_temp_c
+    assert not node.throttle_log
+    assert not node.thermal.throttled
+    # The heat costs mode B nothing: it serves exactly what a node whose
+    # throttle never bites serves.
+    unthrottled = run_session("B", hot_thermal(throttle_freq_ratio=1.0))
+    assert node.served_tokens == unthrottled.served_tokens

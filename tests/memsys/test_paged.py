@@ -58,9 +58,16 @@ class TestSequences:
         assert cache.free_blocks == cache.stats.total_blocks
 
     def test_no_copy_on_growth(self, spec):
-        cache, _ = make_cache(spec)
+        """Growth only takes blocks from the reserved pool: the device
+        allocator sees no new allocation (no ``torch.cat`` copy)."""
+        cache, alloc = make_cache(spec)
+        allocs, allocated = alloc.stats.n_allocs, alloc.allocated_bytes
         cache.add_sequence(1, 16)
-        assert cache.concat_traffic_bytes() == 0
+        for _ in range(40):
+            cache.append_token(1)
+        assert cache.stats.used_blocks == 4
+        assert alloc.stats.n_allocs == allocs
+        assert alloc.allocated_bytes == allocated
 
     def test_pool_exhaustion_raises_oom(self, spec):
         cache, _ = make_cache(spec, pool_mib=1, block_tokens=16)

@@ -211,6 +211,17 @@ def test_cluster_accepts_kv_policy(capsys):
     assert "swap_outs" in out and "prefix_hit_rate" in out
 
 
+def test_cluster_policy_help_lists_every_policy(capsys):
+    from repro.cluster import list_policies
+
+    with pytest.raises(SystemExit):
+        main(["cluster", "--help"])
+    # argparse may wrap a hyphenated name across lines; compare unwrapped.
+    flat = "".join(capsys.readouterr().out.split())
+    for name in list_policies():
+        assert name in flat, name
+
+
 def test_chaos_accepts_kv_policy(capsys):
     rc = main(["chaos", "--devices", "jetson-orin-agx-64gb", "--requests",
                "8", "--kv-policy", "swap-lifo", "--crash-rate", "0.5"])

@@ -18,6 +18,8 @@ FAST_SCRIPTS = [
     "live_generation.py",
     "serving_comparison.py",
     "backend_comparison.py",
+    "sustained_serving.py",
+    "edge_cloud_splitting.py",
 ]
 
 
